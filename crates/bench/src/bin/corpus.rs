@@ -32,9 +32,10 @@ use std::process::ExitCode;
 
 use diode_bench::{flag_num, flag_str, AnalysisBackend};
 use diode_corpus::{
-    CorpusDiff, CorpusError, CorpusStore, DerivationDrift, Json, ReplayableSuite, WitnessSet,
+    CorpusDiff, CorpusError, CorpusStore, DerivationDrift, ReplayableSuite, WitnessSet,
 };
 use diode_engine::CampaignReport;
+use diode_obs::Json;
 use diode_synth::{ScoreCard, SynthConfig};
 
 fn main() -> ExitCode {

@@ -11,9 +11,10 @@
 
 use std::time::Instant;
 
-use diode_bench::jsonout::{cache_json, ms, Json};
+use diode_bench::jsonout::{cache_json, ms};
 use diode_bench::{config_with_cache, fuzz_rows, render_fuzz, AnalysisBackend, FuzzRow};
 use diode_core::DiodeConfig;
+use diode_obs::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -50,9 +50,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use diode_bench::jsonout::Json;
 use diode_bench::{flag_f64, flag_num, flag_str};
-use diode_obs::{anomalies_to_jsonl, AnomalyKind, AnomalyReport};
+use diode_obs::{anomalies_to_jsonl, AnomalyKind, AnomalyReport, Json};
 use diode_serve::{serve, ServeConfig};
 
 fn main() {

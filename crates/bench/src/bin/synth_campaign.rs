@@ -60,14 +60,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use diode_bench::jsonout::{cache_json, counts_json, ms, score_json, snapshot_json, Json};
+use diode_bench::jsonout::{cache_json, counts_json, ms, score_json, snapshot_json};
 use diode_bench::profload::audit_document;
 use diode_bench::{flag_f64, flag_num, flag_str, render_synth, synth_rows, AnalysisBackend};
 use diode_engine::{
     CampaignEvent, CampaignReport, CampaignSpec, ExecutionMode, ProgressSink, PulseConfig, Recorder,
 };
 use diode_obs::{
-    anomalies_to_jsonl, AnomalyReport, JsonlFileSink, ProfileReport, PulseBus, PulseEvent,
+    anomalies_to_jsonl, AnomalyReport, Json, JsonlFileSink, ProfileReport, PulseBus, PulseEvent,
     TelemetryLog, Trace, TraceSink, Watchdog, WatchdogConfig,
 };
 use diode_synth::{forge, score, ForgedSuite, ScoreCard, SynthConfig};
@@ -581,8 +581,7 @@ fn write_audit(path: &str, report: &CampaignReport, json: bool) {
 
 /// The folded profile as a `Json` value for embedding in artifacts.
 fn profile_json(trace: &Trace) -> Json {
-    Json::parse(&ProfileReport::from_trace(trace, 10).to_json())
-        .expect("profile JSON is well-formed")
+    ProfileReport::from_trace(trace, 10).to_json()
 }
 
 /// The recall gate. At the default (and maximum) threshold of 1.0 the

@@ -18,13 +18,14 @@
 
 use std::time::Instant;
 
-use diode_bench::jsonout::{cache_json, counts_json, ms, score_json, Json};
+use diode_bench::jsonout::{cache_json, counts_json, ms, score_json};
 use diode_bench::{
     config_with_cache, flag_num, flag_str, render_synth, render_table1, synth_rows,
     table1_matches_paper, table1_rows, AnalysisBackend, Table1Row,
 };
 use diode_core::DiodeConfig;
 use diode_engine::CampaignSpec;
+use diode_obs::Json;
 use diode_synth::{forge, score, SynthConfig};
 
 fn main() {

@@ -36,8 +36,8 @@
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use diode_bench::jsonout::Json;
 use diode_bench::{flag_f64, flag_str};
+use diode_obs::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -31,10 +31,9 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use diode_bench::jsonout::Json;
 use diode_bench::{flag_f64, flag_num, flag_str};
 use diode_obs::{
-    anomalies_to_jsonl, AnomalyReport, FlightDump, PulseEvent, TelemetryLog, Watchdog,
+    anomalies_to_jsonl, AnomalyReport, FlightDump, Json, PulseEvent, TelemetryLog, Watchdog,
     WatchdogConfig, WorkerState,
 };
 

@@ -1,14 +1,15 @@
 //! JSON emission for the `--json` harness outputs.
 //!
-//! The value type is `diode-corpus`'s round-tripping [`Json`] — one
-//! codec for the whole workspace, so corpus documents and `BENCH_*.json`
-//! artifacts share canonical formatting and `u64` payloads (RNG seeds,
-//! guard limits) stay exact instead of passing through `f64`. This
-//! module adds the harness-shared serializers on top.
+//! The value type is `diode-obs`'s round-tripping [`Json`] — one codec
+//! for the whole workspace, so observability artifacts, corpus
+//! documents, and `BENCH_*.json` share canonical formatting and `u64`
+//! payloads (RNG seeds, guard limits) stay exact instead of passing
+//! through `f64`. This module adds the harness-shared serializers on
+//! top.
 
 use std::time::Duration;
 
-pub use diode_corpus::{Json, JsonError};
+use diode_obs::Json;
 
 /// Serializes a duration as fractional milliseconds (every `*_ms` field
 /// in the BENCH schema).

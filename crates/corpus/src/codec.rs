@@ -6,12 +6,12 @@
 //! first problem with enough context to locate it.
 
 use diode_format::FormatDesc;
+use diode_obs::Json;
 use diode_synth::{
     AppManifest, AppOracle, ClassMix, GroundTruth, PlantedSite, ShapeClass, SuiteManifest,
     SynthConfig, SynthOracle, WidthClass,
 };
 
-use crate::json::Json;
 use crate::snapmeta::{SnapshotMeta, SnapshotMetaSet};
 use crate::witness::{ScoreSummary, SiteWitness, WitnessSet};
 use crate::CorpusError;
@@ -26,43 +26,8 @@ fn bad(doc: &str, what: impl Into<String>) -> CorpusError {
     }
 }
 
-fn need<'a>(doc: &str, v: &'a Json, key: &str) -> Result<&'a Json, CorpusError> {
-    v.get(key)
-        .ok_or_else(|| bad(doc, format!("missing {key:?}")))
-}
-
-fn need_str(doc: &str, v: &Json, key: &str) -> Result<String, CorpusError> {
-    Ok(need(doc, v, key)?
-        .as_str()
-        .ok_or_else(|| bad(doc, format!("{key:?} is not a string")))?
-        .to_string())
-}
-
-fn need_u64(doc: &str, v: &Json, key: &str) -> Result<u64, CorpusError> {
-    need(doc, v, key)?
-        .as_u64()
-        .ok_or_else(|| bad(doc, format!("{key:?} is not an unsigned integer")))
-}
-
-fn need_usize(doc: &str, v: &Json, key: &str) -> Result<usize, CorpusError> {
-    usize::try_from(need_u64(doc, v, key)?)
-        .map_err(|_| bad(doc, format!("{key:?} does not fit usize")))
-}
-
-fn need_bool(doc: &str, v: &Json, key: &str) -> Result<bool, CorpusError> {
-    need(doc, v, key)?
-        .as_bool()
-        .ok_or_else(|| bad(doc, format!("{key:?} is not a bool")))
-}
-
-fn need_arr<'a>(doc: &str, v: &'a Json, key: &str) -> Result<&'a [Json], CorpusError> {
-    need(doc, v, key)?
-        .as_arr()
-        .ok_or_else(|| bad(doc, format!("{key:?} is not an array")))
-}
-
 fn check_version(doc: &str, v: &Json) -> Result<(), CorpusError> {
-    let found = need_u64(doc, v, "version")?;
+    let found = v.req_uint("version").map_err(|e| bad(doc, e))?;
     if found != LAYOUT_VERSION {
         return Err(CorpusError::UnsupportedVersion {
             doc: doc.to_string(),
@@ -71,6 +36,39 @@ fn check_version(doc: &str, v: &Json) -> Result<(), CorpusError> {
         });
     }
     Ok(())
+}
+
+/// Checks `doc`'s layout version, then decodes it, mapping any shape
+/// problem into [`CorpusError::Corrupt`] naming `doc`.
+fn decode<T>(
+    doc: &str,
+    v: &Json,
+    decode: impl FnOnce(&Json) -> Result<T, String>,
+) -> Result<T, CorpusError> {
+    check_version(doc, v)?;
+    decode(v).map_err(|e| bad(doc, e))
+}
+
+/// The string items of array member `key`.
+fn strings(v: &Json, key: &str) -> Result<Vec<String>, String> {
+    v.req_arr(key)?
+        .iter()
+        .map(|s| {
+            s.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("{key:?} holds a non-string item"))
+        })
+        .collect()
+}
+
+/// Member `key`, which must be present but may be `null`.
+fn nullable<'a, T>(
+    v: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    v.req(key)?;
+    v.opt(key, read)
 }
 
 // --------------------------------------------------------------------------
@@ -104,54 +102,49 @@ fn config_json(cfg: &SynthConfig) -> Json {
         .field("rng_seed", cfg.rng_seed)
 }
 
-fn config_from_json(doc: &str, v: &Json) -> Result<SynthConfig, CorpusError> {
-    let widths = need_arr(doc, v, "widths")?
+fn config_from_json(v: &Json) -> Result<SynthConfig, String> {
+    let widths = v
+        .req_arr("widths")?
         .iter()
         .map(|w| {
             w.as_str()
                 .and_then(WidthClass::from_token)
-                .ok_or_else(|| bad(doc, format!("unknown width token {w}")))
+                .ok_or_else(|| format!("unknown width token {w}"))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let shapes = need_arr(doc, v, "shapes")?
+    let shapes = v
+        .req_arr("shapes")?
         .iter()
         .map(|s| {
             s.as_str()
                 .and_then(ShapeClass::from_token)
-                .ok_or_else(|| bad(doc, format!("unknown shape token {s}")))
+                .ok_or_else(|| format!("unknown shape token {s}"))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let mix = need(doc, v, "mix")?;
-    let as_u32 = |key: &str| -> Result<u32, CorpusError> {
-        u32::try_from(need_u64(doc, mix, key)?)
-            .map_err(|_| bad(doc, format!("mix.{key} does not fit u32")))
-    };
+    let mix = v.req("mix")?;
     Ok(SynthConfig {
-        apps: need_usize(doc, v, "apps")?,
-        min_sites: need_usize(doc, v, "min_sites")?,
-        max_sites: need_usize(doc, v, "max_sites")?,
-        branch_depth: need_usize(doc, v, "branch_depth")?,
+        apps: v.req_uint("apps")?,
+        min_sites: v.req_uint("min_sites")?,
+        max_sites: v.req_uint("max_sites")?,
+        branch_depth: v.req_uint("branch_depth")?,
         widths,
         shapes,
         mix: ClassMix {
-            exposable: as_u32("exposable")?,
-            guard_prevented: as_u32("guard_prevented")?,
-            target_unsat: as_u32("target_unsat")?,
+            exposable: mix.req_uint("exposable")?,
+            guard_prevented: mix.req_uint("guard_prevented")?,
+            target_unsat: mix.req_uint("target_unsat")?,
         },
-        checksum: need_bool(doc, v, "checksum")?,
-        blocking_loops: need_bool(doc, v, "blocking_loops")?,
+        checksum: v.req_bool("checksum")?,
+        blocking_loops: v.req_bool("blocking_loops")?,
         // Absent in corpora stored before the knob existed: default 0
         // (which forges byte-identical suites to the old code).
-        site_work: match v.get("site_work") {
-            Some(w) => u32::try_from(
-                w.as_u64()
-                    .ok_or_else(|| bad(doc, "site_work is not an integer"))?,
-            )
-            .map_err(|_| bad(doc, "site_work does not fit u32"))?,
-            None => 0,
+        site_work: if v.get("site_work").is_some() {
+            v.req_uint("site_work")?
+        } else {
+            0
         },
-        seeds_per_app: need_usize(doc, v, "seeds_per_app")?,
-        rng_seed: need_u64(doc, v, "rng_seed")?,
+        seeds_per_app: v.req_uint("seeds_per_app")?,
+        rng_seed: v.req_uint("rng_seed")?,
     })
 }
 
@@ -233,31 +226,24 @@ pub struct AppShell {
 /// Any missing field, wrong type, unknown token, bad format spec, or
 /// unsupported version is a [`CorpusError`].
 pub fn manifest_from_json(doc: &str, v: &Json) -> Result<ManifestShell, CorpusError> {
-    check_version(doc, v)?;
-    let mut apps = Vec::new();
-    for entry in need_arr(doc, v, "apps")? {
-        let spec = need_str(doc, entry, "format_spec")?;
-        let format = FormatDesc::from_spec(&spec).map_err(|e| bad(doc, e.to_string()))?;
-        let seeds = need_arr(doc, entry, "seeds")?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| bad(doc, "seed path is not a string"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        apps.push(AppShell {
-            name: need_str(doc, entry, "name")?,
-            program: need_str(doc, entry, "program")?,
-            seeds,
-            format,
-            content_hash: need_str(doc, entry, "content_hash")?,
-        });
-    }
-    Ok(ManifestShell {
-        suite_id: need_str(doc, v, "suite_id")?,
-        config: config_from_json(doc, need(doc, v, "config")?)?,
-        apps,
+    decode(doc, v, |v| {
+        let mut apps = Vec::new();
+        for entry in v.req_arr("apps")? {
+            let format =
+                FormatDesc::from_spec(entry.req_str("format_spec")?).map_err(|e| e.to_string())?;
+            apps.push(AppShell {
+                name: entry.req_str("name")?.to_string(),
+                program: entry.req_str("program")?.to_string(),
+                seeds: strings(entry, "seeds")?,
+                format,
+                content_hash: entry.req_str("content_hash")?.to_string(),
+            });
+        }
+        Ok(ManifestShell {
+            suite_id: v.req_str("suite_id")?.to_string(),
+            config: config_from_json(v.req("config")?)?,
+            apps,
+        })
     })
 }
 
@@ -331,54 +317,34 @@ pub fn oracle_json(suite_id: &str, oracle: &SynthOracle) -> Json {
 ///
 /// Any shape problem is a [`CorpusError`].
 pub fn oracle_from_json(doc: &str, v: &Json) -> Result<SynthOracle, CorpusError> {
-    check_version(doc, v)?;
-    let mut apps = Vec::new();
-    for entry in need_arr(doc, v, "apps")? {
-        let mut sites = Vec::new();
-        for s in need_arr(doc, entry, "sites")? {
-            let truth = need_str(doc, s, "truth")?;
-            let truth = GroundTruth::from_token(&truth)
-                .ok_or_else(|| bad(doc, format!("unknown truth token {truth:?}")))?;
-            let fields = need_arr(doc, s, "fields")?
-                .iter()
-                .map(|f| {
-                    f.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| bad(doc, "field path is not a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let guards = need_arr(doc, s, "guards")?
-                .iter()
-                .map(|g| {
-                    g.as_u64()
-                        .ok_or_else(|| bad(doc, "guard limit is not a u64"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let threshold = need(doc, s, "overflow_threshold")?;
-            let overflow_threshold = if threshold.is_null() {
-                None
-            } else {
-                Some(
-                    threshold
-                        .as_u64()
-                        .ok_or_else(|| bad(doc, "overflow_threshold is not a u64"))?,
-                )
-            };
-            sites.push(PlantedSite {
-                site: need_str(doc, s, "site")?,
-                truth,
-                fields,
-                shape: need_str(doc, s, "shape")?,
-                guards,
-                overflow_threshold,
+    decode(doc, v, |v| {
+        let mut apps = Vec::new();
+        for entry in v.req_arr("apps")? {
+            let mut sites = Vec::new();
+            for s in entry.req_arr("sites")? {
+                let truth = s.req_str("truth")?;
+                let guards = s
+                    .req_arr("guards")?
+                    .iter()
+                    .map(|g| g.as_u64().ok_or("guard limit is not a u64"))
+                    .collect::<Result<Vec<_>, _>>()?;
+                sites.push(PlantedSite {
+                    site: s.req_str("site")?.to_string(),
+                    truth: GroundTruth::from_token(truth)
+                        .ok_or_else(|| format!("unknown truth token {truth:?}"))?,
+                    fields: strings(s, "fields")?,
+                    shape: s.req_str("shape")?.to_string(),
+                    guards,
+                    overflow_threshold: nullable(s, "overflow_threshold", Json::req_uint)?,
+                });
+            }
+            apps.push(AppOracle {
+                app: entry.req_str("app")?.to_string(),
+                sites,
             });
         }
-        apps.push(AppOracle {
-            app: need_str(doc, entry, "app")?,
-            sites,
-        });
-    }
-    Ok(SynthOracle { apps })
+        Ok(SynthOracle { apps })
+    })
 }
 
 // --------------------------------------------------------------------------
@@ -395,23 +361,15 @@ fn score_json(s: &ScoreSummary) -> Json {
         .field("mismatches", s.mismatches.clone())
 }
 
-fn score_from_json(doc: &str, v: &Json) -> Result<ScoreSummary, CorpusError> {
-    let mismatches = need_arr(doc, v, "mismatches")?
-        .iter()
-        .map(|m| {
-            m.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| bad(doc, "mismatch is not a string"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+fn score_from_json(v: &Json) -> Result<ScoreSummary, String> {
     Ok(ScoreSummary {
-        graded: need_usize(doc, v, "graded")?,
-        true_pos: need_usize(doc, v, "true_pos")?,
-        false_pos: need_usize(doc, v, "false_pos")?,
-        false_neg: need_usize(doc, v, "false_neg")?,
-        true_neg: need_usize(doc, v, "true_neg")?,
-        exact: need_usize(doc, v, "exact")?,
-        mismatches,
+        graded: v.req_uint("graded")?,
+        true_pos: v.req_uint("true_pos")?,
+        false_pos: v.req_uint("false_pos")?,
+        false_neg: v.req_uint("false_neg")?,
+        true_neg: v.req_uint("true_neg")?,
+        exact: v.req_uint("exact")?,
+        mismatches: strings(v, "mismatches")?,
     })
 }
 
@@ -453,68 +411,42 @@ pub fn witness_json(w: &WitnessSet) -> Json {
 ///
 /// Shape problems and fingerprint drift are [`CorpusError`]s.
 pub fn witness_from_json(doc: &str, v: &Json) -> Result<WitnessSet, CorpusError> {
-    check_version(doc, v)?;
-    let opt_str = |s: &Json, key: &str| -> Result<Option<String>, CorpusError> {
-        match need(doc, s, key)? {
-            Json::Null => Ok(None),
-            other => Ok(Some(
-                other
-                    .as_str()
-                    .ok_or_else(|| bad(doc, format!("{key:?} is not a string")))?
-                    .to_string(),
-            )),
+    decode(doc, v, |v| {
+        let text =
+            |s: &Json, key: &str| nullable(s, key, Json::req_str).map(|t| t.map(str::to_string));
+        let mut sites = Vec::new();
+        for s in v.req_arr("sites")? {
+            sites.push(SiteWitness {
+                app: s.req_str("app")?.to_string(),
+                seed_index: s.req_uint("seed_index")?,
+                site: s.req_str("site")?.to_string(),
+                outcome: s.req_str("outcome")?.to_string(),
+                enforced: nullable(s, "enforced", Json::req_uint)?,
+                input_hex: text(s, "input")?,
+                error_type: text(s, "error_type")?,
+                verified: nullable(s, "verified", Json::req_bool)?,
+            });
         }
-    };
-    let mut sites = Vec::new();
-    for s in need_arr(doc, v, "sites")? {
-        let enforced = match need(doc, s, "enforced")? {
+        let scorecard = match v.req("scorecard")? {
             Json::Null => None,
-            other => Some(
-                other
-                    .as_u64()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| bad(doc, "enforced is not a usize"))?,
-            ),
+            other => Some(score_from_json(other)?),
         };
-        let verified = match need(doc, s, "verified")? {
-            Json::Null => None,
-            other => Some(
-                other
-                    .as_bool()
-                    .ok_or_else(|| bad(doc, "verified is not a bool"))?,
-            ),
+        let set = WitnessSet {
+            suite_id: v.req_str("suite_id")?.to_string(),
+            label: v.req_str("label")?.to_string(),
+            threads: v.req_uint("threads")?,
+            scorecard,
+            sites,
         };
-        sites.push(SiteWitness {
-            app: need_str(doc, s, "app")?,
-            seed_index: need_usize(doc, s, "seed_index")?,
-            site: need_str(doc, s, "site")?,
-            outcome: need_str(doc, s, "outcome")?,
-            enforced,
-            input_hex: opt_str(s, "input")?,
-            error_type: opt_str(s, "error_type")?,
-            verified,
-        });
-    }
-    let scorecard = match need(doc, v, "scorecard")? {
-        Json::Null => None,
-        other => Some(score_from_json(doc, other)?),
-    };
-    let set = WitnessSet {
-        suite_id: need_str(doc, v, "suite_id")?,
-        label: need_str(doc, v, "label")?,
-        threads: need_usize(doc, v, "threads")?,
-        scorecard,
-        sites,
-    };
-    let stored = need_str(doc, v, "fingerprint")?;
-    let computed = set.fingerprint();
-    if stored != computed {
-        return Err(bad(
-            doc,
-            format!("fingerprint mismatch (stored {stored}, computed {computed})"),
-        ));
-    }
-    Ok(set)
+        let stored = v.req_str("fingerprint")?;
+        let computed = set.fingerprint();
+        if stored != computed {
+            return Err(format!(
+                "fingerprint mismatch (stored {stored}, computed {computed})"
+            ));
+        }
+        Ok(set)
+    })
 }
 
 // --------------------------------------------------------------------------
@@ -545,37 +477,31 @@ pub fn snapmeta_json(m: &SnapshotMetaSet) -> Json {
 
 /// Parses a snapshot-metadata set.
 pub fn snapmeta_from_json(doc: &str, v: &Json) -> Result<SnapshotMetaSet, CorpusError> {
-    check_version(doc, v)?;
-    let mut sites = Vec::new();
-    for s in need_arr(doc, v, "sites")? {
-        let first_divergent_step = match need(doc, s, "first_divergent_step")? {
-            Json::Null => None,
-            other => Some(
-                other
-                    .as_u64()
-                    .ok_or_else(|| bad(doc, "first_divergent_step is not a u64"))?,
-            ),
-        };
-        let divergent_bytes = need_arr(doc, s, "divergent_bytes")?
-            .iter()
-            .map(|b| {
-                b.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| bad(doc, "divergent byte offset is not a u32"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        sites.push(SnapshotMeta {
-            app: need_str(doc, s, "app")?,
-            seed_index: need_usize(doc, s, "seed_index")?,
-            site: need_str(doc, s, "site")?,
-            first_divergent_step,
-            divergent_bytes,
-            candidates: need_u64(doc, s, "candidates")?,
-            resumed: need_u64(doc, s, "resumed")?,
-        });
-    }
-    Ok(SnapshotMetaSet {
-        suite_id: need_str(doc, v, "suite_id")?,
-        sites,
+    decode(doc, v, |v| {
+        let mut sites = Vec::new();
+        for s in v.req_arr("sites")? {
+            let divergent_bytes = s
+                .req_arr("divergent_bytes")?
+                .iter()
+                .map(|b| {
+                    b.as_u64()
+                        .and_then(|n| u32::try_from(n).ok())
+                        .ok_or("divergent byte offset is not a u32")
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            sites.push(SnapshotMeta {
+                app: s.req_str("app")?.to_string(),
+                seed_index: s.req_uint("seed_index")?,
+                site: s.req_str("site")?.to_string(),
+                first_divergent_step: nullable(s, "first_divergent_step", Json::req_uint)?,
+                divergent_bytes,
+                candidates: s.req_uint("candidates")?,
+                resumed: s.req_uint("resumed")?,
+            });
+        }
+        Ok(SnapshotMetaSet {
+            suite_id: v.req_str("suite_id")?.to_string(),
+            sites,
+        })
     })
 }

@@ -64,19 +64,16 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
+use diode_obs::JsonError;
+
 mod audit;
 mod codec;
-pub mod json;
 mod snapmeta;
 mod store;
 mod witness;
 
-pub use audit::{
-    record_file, record_from_json, record_json, record_json_canonical, record_key, AuditSet,
-    DerivationDrift,
-};
+pub use audit::{record_file, record_key, AuditSet, DerivationDrift};
 pub use codec::LAYOUT_VERSION;
-pub use json::{Json, JsonError};
 pub use snapmeta::{SnapshotMeta, SnapshotMetaSet};
 pub use store::{CorpusStore, ReplayableSuite, SuiteSummary};
 pub use witness::{

@@ -21,13 +21,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use diode_engine::{CampaignReport, CampaignSpec, CorpusSuite, ExecutionMode};
+use diode_obs::Json;
 use diode_synth::{
     forge_range, score, ForgedSuite, ScoreCard, SuiteManifest, SynthConfig, SynthOracle,
 };
 
 use crate::audit::{self, AuditSet};
 use crate::codec;
-use crate::json::Json;
 use crate::snapmeta::SnapshotMetaSet;
 use crate::witness::WitnessSet;
 use crate::CorpusError;

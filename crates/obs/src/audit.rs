@@ -14,12 +14,16 @@
 //! A [`ProvenanceRecord`] bundles one site's events and renders them as
 //! an explanation tree ([`ProvenanceRecord::explain`]), checks the
 //! events→witness chain for completeness ([`ProvenanceRecord::chain_error`]),
-//! and serialises to a canonical form ([`ProvenanceRecord::canonical`])
+//! round-trips through JSON ([`ProvenanceRecord::to_json`],
+//! [`record_from_json`]), and serialises to a canonical form
+//! ([`ProvenanceRecord::canonical`])
 //! that drops the one racy field (cache-hit attribution under a shared
 //! cache) so record sets compare byte-identical across thread counts —
 //! the same discipline span identity follows.
 
 use std::fmt::Write as _;
+
+use crate::json::Json;
 
 /// Version stamp for the provenance wire format (`audit/*.json`).
 pub const AUDIT_SCHEMA_VERSION: u32 = 1;
@@ -189,10 +193,11 @@ pub enum ProvenanceEvent {
 }
 
 impl ProvenanceEvent {
-    /// Serialise one event as a JSON object. When `canonical` is set the
-    /// advisory `cache_hit` field is omitted, making the output identical
-    /// across thread counts.
-    pub fn to_json(&self, canonical: bool) -> String {
+    /// One event as a JSON object. When `canonical` is set the advisory
+    /// `cache_hit` field is omitted, making the output identical across
+    /// thread counts.
+    pub fn to_json(&self, canonical: bool) -> Json {
+        let event = |kind: &str| Json::obj().field("type", kind);
         match self {
             ProvenanceEvent::Extraction {
                 relevant_bytes,
@@ -200,63 +205,89 @@ impl ProvenanceEvent {
                 phi_len,
                 boundary,
                 resumed,
-            } => {
-                let bytes: Vec<String> = relevant_bytes.iter().map(u32::to_string).collect();
-                format!(
-                    "{{\"type\":\"extraction\",\"relevant_bytes\":[{}],\
-                     \"total_relevant\":{total_relevant},\"phi\":{phi_len},\
-                     \"boundary\":{boundary},\"resumed\":{resumed}}}",
-                    bytes.join(",")
-                )
-            }
+            } => event("extraction")
+                .field("relevant_bytes", relevant_bytes.clone())
+                .field("total_relevant", *total_relevant)
+                .field("phi", *phi_len)
+                .field("boundary", *boundary)
+                .field("resumed", *resumed),
             ProvenanceEvent::Query {
                 origin,
                 fingerprint,
                 verdict,
                 cache_hit,
-            } => {
-                let mut out = format!(
-                    "{{\"type\":\"query\",\"origin\":\"{}\",\"fingerprint\":\"{}\",\
-                     \"verdict\":\"{}\"",
-                    origin.as_str(),
-                    fingerprint,
-                    verdict.as_str()
-                );
-                if !canonical {
-                    if let Some(hit) = cache_hit {
-                        let _ = write!(out, ",\"cache_hit\":{hit}");
-                    }
-                }
-                out.push('}');
-                out
-            }
+            } => event("query")
+                .field("origin", origin.as_str())
+                .field("fingerprint", fingerprint.as_str())
+                .field("verdict", verdict.as_str())
+                .field_opt("cache_hit", cache_hit.filter(|_| !canonical)),
             ProvenanceEvent::Enforce {
                 iteration,
                 condition,
                 label,
                 action,
-            } => format!(
-                "{{\"type\":\"enforce\",\"iteration\":{iteration},\
-                 \"condition\":{condition},\"label\":{label},\"action\":\"{}\"}}",
-                action.as_str()
-            ),
-            ProvenanceEvent::Budget { iteration } => {
-                format!("{{\"type\":\"budget\",\"iteration\":{iteration}}}")
-            }
+            } => event("enforce")
+                .field("iteration", *iteration)
+                .field("condition", *condition)
+                .field("label", *label)
+                .field("action", action.as_str()),
+            ProvenanceEvent::Budget { iteration } => event("budget").field("iteration", *iteration),
             ProvenanceEvent::Verdict {
                 outcome,
                 enforced,
                 witness,
-            } => {
-                let mut out = format!(
-                    "{{\"type\":\"verdict\",\"outcome\":\"{outcome}\",\"enforced\":{enforced}"
-                );
-                if let Some(w) = witness {
-                    let _ = write!(out, ",\"witness\":\"{w}\"");
-                }
-                out.push('}');
-                out
-            }
+            } => event("verdict")
+                .field("outcome", outcome.as_str())
+                .field("enforced", *enforced)
+                .field_opt("witness", witness.as_deref()),
+        }
+    }
+
+    /// Inverse of [`ProvenanceEvent::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// A description of the first missing, malformed, or unknown field.
+    fn from_json(doc: &Json) -> Result<ProvenanceEvent, String> {
+        match doc.req_str("type")? {
+            "extraction" => Ok(ProvenanceEvent::Extraction {
+                relevant_bytes: doc
+                    .req_arr("relevant_bytes")?
+                    .iter()
+                    .map(|b| {
+                        b.as_u64()
+                            .and_then(|v| u32::try_from(v).ok())
+                            .ok_or("non-u32 entry in relevant_bytes")
+                    })
+                    .collect::<Result<_, _>>()?,
+                total_relevant: doc.req_uint("total_relevant")?,
+                phi_len: doc.req_uint("phi")?,
+                boundary: doc.req_uint("boundary")?,
+                resumed: doc.req_bool("resumed")?,
+            }),
+            "query" => Ok(ProvenanceEvent::Query {
+                origin: QueryOrigin::parse(doc.req_str("origin")?).ok_or("unknown query origin")?,
+                fingerprint: doc.req_str("fingerprint")?.to_string(),
+                verdict: QueryVerdict::parse(doc.req_str("verdict")?)
+                    .ok_or("unknown query verdict")?,
+                cache_hit: doc.opt("cache_hit", Json::req_bool)?,
+            }),
+            "enforce" => Ok(ProvenanceEvent::Enforce {
+                iteration: doc.req_uint("iteration")?,
+                condition: doc.req_uint("condition")?,
+                label: doc.req_uint("label")?,
+                action: EnforceAction::parse(doc.req_str("action")?)
+                    .ok_or("unknown enforce action")?,
+            }),
+            "budget" => Ok(ProvenanceEvent::Budget {
+                iteration: doc.req_uint("iteration")?,
+            }),
+            "verdict" => Ok(ProvenanceEvent::Verdict {
+                outcome: doc.req_str("outcome")?.to_string(),
+                enforced: doc.req_uint("enforced")?,
+                witness: doc.opt("witness", Json::req_str)?.map(str::to_string),
+            }),
+            other => Err(format!("unknown event type {other:?}")),
         }
     }
 }
@@ -276,29 +307,26 @@ pub struct ProvenanceRecord {
 }
 
 impl ProvenanceRecord {
-    /// Full JSON document for `audit/<site>.json`, schema-versioned.
-    /// Includes the advisory cache annotations.
-    pub fn to_json(&self) -> String {
-        self.render_json(false)
+    /// The JSON document for `audit/<site>.json`, schema-versioned.
+    /// The full form (`canonical` unset) includes the advisory cache
+    /// annotations; the canonical form drops them.
+    pub fn to_json(&self, canonical: bool) -> Json {
+        Json::obj()
+            .field("v", AUDIT_SCHEMA_VERSION)
+            .field("app", self.app.as_str())
+            .field("seed", self.seed)
+            .field("site", self.site.as_str())
+            .field(
+                "events",
+                Json::Arr(self.events.iter().map(|e| e.to_json(canonical)).collect()),
+            )
     }
 
-    /// Deterministic identity form: same as [`ProvenanceRecord::to_json`]
-    /// minus advisory cache-hit attribution. Byte-identical across
-    /// thread counts for the same campaign spec.
+    /// Deterministic identity form: [`ProvenanceRecord::to_json`] in
+    /// canonical form, rendered. Byte-identical across thread counts for
+    /// the same campaign spec.
     pub fn canonical(&self) -> String {
-        self.render_json(true)
-    }
-
-    fn render_json(&self, canonical: bool) -> String {
-        let events: Vec<String> = self.events.iter().map(|e| e.to_json(canonical)).collect();
-        format!(
-            "{{\"v\":{AUDIT_SCHEMA_VERSION},\"app\":\"{}\",\"seed\":{},\"site\":\"{}\",\
-             \"events\":[{}]}}",
-            escape(&self.app),
-            self.seed,
-            escape(&self.site),
-            events.join(",")
-        )
+        self.to_json(true).to_string()
     }
 
     /// The final verdict event, if the record reached one.
@@ -570,6 +598,33 @@ pub fn canonical_record_set(records: &[ProvenanceRecord]) -> String {
     out
 }
 
+/// Parses a provenance record back from its JSON document (either
+/// form), rejecting unknown schema versions.
+///
+/// # Errors
+///
+/// A description of the first structural problem.
+pub fn record_from_json(doc: &Json) -> Result<ProvenanceRecord, String> {
+    let v: u64 = doc.req_uint("v")?;
+    if v != u64::from(AUDIT_SCHEMA_VERSION) {
+        return Err(format!("unsupported audit schema version {v}"));
+    }
+    let events = doc
+        .req_arr("events")?
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            ProvenanceEvent::from_json(e).map_err(|reason| format!("event {i}: {reason}"))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(ProvenanceRecord {
+        app: doc.req_str("app")?.to_string(),
+        seed: doc.req_uint("seed")?,
+        site: doc.req_str("site")?.to_string(),
+        events,
+    })
+}
+
 /// FNV-1a (64-bit) hash of a byte string, rendered as `fnv64:<16 hex>`.
 /// Used to tie an exposed site's verdict to its witness input bytes
 /// without storing the input in the provenance record.
@@ -580,24 +635,6 @@ pub fn fnv64_hex(bytes: &[u8]) -> String {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("fnv64:{h:016x}")
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -653,7 +690,7 @@ mod tests {
     #[test]
     fn canonical_strips_cache_hit_only() {
         let rec = exposed_record();
-        let full = rec.to_json();
+        let full = rec.to_json(false).to_string();
         let canon = rec.canonical();
         assert!(full.contains("\"cache_hit\":true"));
         assert!(!canon.contains("cache_hit"));

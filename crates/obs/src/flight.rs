@@ -23,12 +23,11 @@
 //! [`FlightDump::from_jsonl`] parses the whole file back.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
+use crate::json::{jsonl, Json, JsonlReader};
 use crate::pulse::PulseEvent;
-use crate::sink::{parse_flat_object, push_json_str, FlatValue};
-use crate::telemetry::{pulse_event_lines, telemetry_header, TelemetryLog};
-use crate::watchdog::{anomalies_from_jsonl, anomalies_to_jsonl, AnomalyReport};
+use crate::telemetry::{telemetry_records, TelemetryLog};
+use crate::watchdog::{anomaly_from_json, anomaly_json, AnomalyReport};
 
 /// Version stamped into (and required from) the flight header line.
 pub const FLIGHT_SCHEMA_VERSION: u64 = 1;
@@ -84,30 +83,19 @@ impl FlightRecorder {
         threads: u32,
         anomalies: &[AnomalyReport],
     ) -> String {
-        let mut out = String::new();
-        out.push_str("{\"type\":\"flight\",\"v\":");
-        let _ = write!(out, "{FLIGHT_SCHEMA_VERSION}");
-        out.push_str(",\"job\":");
-        push_json_str(&mut out, job);
-        out.push_str(",\"reason\":");
-        push_json_str(&mut out, reason);
-        let _ = writeln!(
-            out,
-            ",\"seen\":{},\"retained\":{},\"anomalies\":{}}}",
-            self.seen,
-            self.ring.len(),
-            anomalies.len()
-        );
-        // Anomaly records ride the digest line format, minus its header.
-        let digest = anomalies_to_jsonl(anomalies);
-        if let Some((_, records)) = digest.split_once('\n') {
-            out.push_str(records);
-        }
-        out.push_str(&telemetry_header(threads));
-        for event in &self.ring {
-            out.push_str(&pulse_event_lines(event));
-        }
-        out
+        let header = Json::obj()
+            .field("type", "flight")
+            .field("v", FLIGHT_SCHEMA_VERSION)
+            .field("job", job)
+            .field("reason", reason)
+            .field("seen", self.seen)
+            .field("retained", self.ring.len())
+            .field("anomalies", anomalies.len());
+        jsonl(
+            std::iter::once(header)
+                .chain(anomalies.iter().map(anomaly_json))
+                .chain(telemetry_records(threads, &self.ring)),
+        )
     }
 }
 
@@ -131,63 +119,33 @@ pub struct FlightDump {
 impl FlightDump {
     /// Parses a dump produced by [`FlightRecorder::dump`].
     pub fn from_jsonl(text: &str) -> Result<FlightDump, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let Some(header) = lines.next() else {
-            return Err("flight: empty input (missing header line)".into());
-        };
-        let head = parse_flat_object(header).map_err(|e| format!("flight line 1: {e}"))?;
-        if head.get("type").and_then(FlatValue::as_str) != Some("flight") {
-            return Err("flight: first line must be the header {\"type\":\"flight\",...}".into());
-        }
-        match head.get("v").and_then(FlatValue::as_u64) {
-            Some(FLIGHT_SCHEMA_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "flight: unsupported schema version {v} (expected {FLIGHT_SCHEMA_VERSION})"
+        let mut reader = JsonlReader::new("flight", text);
+        let (job, reason, seen, declared) =
+            reader.header("flight", FLIGHT_SCHEMA_VERSION, |head| {
+                Ok((
+                    head.req_str("job")?.to_string(),
+                    head.req_str("reason")?.to_string(),
+                    head.req_uint("seen")?,
+                    head.req_uint::<u64>("anomalies")?,
                 ))
-            }
-            None => return Err("flight: header missing integer field \"v\"".into()),
-        }
-        let req_str = |key: &str| -> Result<String, String> {
-            head.get(key)
-                .and_then(FlatValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("flight: header missing string field {key:?}"))
-        };
-        let req_u64 = |key: &str| -> Result<u64, String> {
-            head.get(key)
-                .and_then(FlatValue::as_u64)
-                .ok_or_else(|| format!("flight: header missing integer field {key:?}"))
-        };
-        let anomaly_count = req_u64("anomalies")? as usize;
-        // The declared number of anomaly records, re-wrapped as a
-        // digest for the existing parser.
-        let mut digest = format!(
-            "{{\"type\":\"anomalies\",\"v\":{},\"count\":{anomaly_count}}}\n",
-            crate::watchdog::ANOMALY_SCHEMA_VERSION
-        );
-        for _ in 0..anomaly_count {
-            let Some(line) = lines.next() else {
+            })?;
+        let mut anomalies = Vec::new();
+        for _ in 0..declared {
+            let Some(record) = reader.record() else {
                 return Err(format!(
-                    "flight: header declares {anomaly_count} anomaly record(s) \
+                    "flight: header declares {declared} anomaly record(s) \
                      but the stream ended early"
                 ));
             };
-            digest.push_str(line);
-            digest.push('\n');
+            let (lineno, obj) = record?;
+            anomalies.push(anomaly_from_json(&obj).map_err(|e| reader.at(lineno, e))?);
         }
-        let anomalies = anomalies_from_jsonl(&digest).map_err(|e| format!("flight: {e}"))?;
         // Everything left is a standard telemetry stream.
-        let mut telemetry = String::new();
-        for line in lines {
-            telemetry.push_str(line);
-            telemetry.push('\n');
-        }
-        let log = TelemetryLog::from_jsonl(&telemetry).map_err(|e| format!("flight: {e}"))?;
+        let log = TelemetryLog::read(&mut reader)?;
         Ok(FlightDump {
-            job: req_str("job")?,
-            reason: req_str("reason")?,
-            seen: req_u64("seen")?,
+            job,
+            reason,
+            seen,
             threads: log.threads,
             anomalies,
             events: log.events,
@@ -251,6 +209,30 @@ mod tests {
         assert_eq!(parsed.anomalies, anomalies);
         assert_eq!(parsed.events.len(), 2);
         assert_eq!(parsed.threads, 4);
+
+        // Wire bytes pinned to the format's first release: header,
+        // anomaly record, embedded telemetry header and event.
+        let golden = r#"{"type":"flight","v":1,"job":"job-9","reason":"anomaly:slow_site","seen":1,"retained":1,"anomalies":1}
+{"type":"anomaly","kind":"slow_site","subject":"app/0/b0@7","detail":"site took 900ms against a campaign median of 12ms","value":900000000,"threshold":250000000}
+{"type":"pulse","v":1,"threads":4}
+{"type":"finished","wall_ns":5,"sites":1,"exposed":1}
+"#;
+        let mut rec = FlightRecorder::new(16);
+        rec.record(&PulseEvent::Finished {
+            wall_ns: 5,
+            sites: 1,
+            exposed: 1,
+        });
+        let parsed = FlightDump::from_jsonl(golden).expect("golden dump parses");
+        assert_eq!(
+            rec.dump(
+                &parsed.job,
+                &parsed.reason,
+                parsed.threads,
+                &parsed.anomalies
+            ),
+            golden
+        );
     }
 
     #[test]
@@ -270,5 +252,23 @@ mod tests {
         assert!(FlightDump::from_jsonl(truncated)
             .unwrap_err()
             .contains("ended early"));
+        let huge_workers = "{\"type\":\"flight\",\"v\":1,\"job\":\"j\",\"reason\":\"r\",\
+             \"seen\":1,\"retained\":1,\"anomalies\":0}\n\
+             {\"type\":\"pulse\",\"v\":1,\"threads\":1}\n\
+             {\"type\":\"heartbeat\",\"seq\":0,\"t_ns\":0,\"workers\":1000000000000,\
+              \"queued\":0,\"pending\":0,\"steals\":0,\"jobs_done\":0,\"cache_bytes\":0,\
+              \"cache_entries\":0,\"snapshot_bytes\":0,\"snapshot_entries\":0,\
+              \"interp_peak_heap_bytes\":0}\n";
+        assert!(FlightDump::from_jsonl(huge_workers)
+            .unwrap_err()
+            .contains("declares 1000000000000 worker(s)"));
+        let deep = format!(
+            "{{\"type\":\"flight\",\"v\":1,\"job\":\"j\",\"reason\":\"r\",\
+             \"seen\":0,\"retained\":0,\"anomalies\":1}}\n{{\"kind\":{}\n",
+            "[".repeat(100_000)
+        );
+        assert!(FlightDump::from_jsonl(&deep)
+            .unwrap_err()
+            .contains("nesting"));
     }
 }

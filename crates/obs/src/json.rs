@@ -1,11 +1,21 @@
-//! Self-contained JSON reading and writing for corpus files.
+//! The workspace's one JSON codec, used by every artifact it reads or
+//! writes: traces, telemetry, flight dumps, anomaly digests, provenance
+//! records, profiles, metrics, corpus documents, `BENCH_*.json`, and the
+//! daemon's wire protocol.
 //!
-//! The workspace builds offline (no serde), so the corpus carries its own
-//! small JSON codec. Unlike the write-only emitter in `diode-bench`, this
-//! one round-trips: [`Json::parse`] accepts everything [`Json`]'s
-//! `Display` produces (and standard JSON generally). Non-negative integer
-//! literals parse into [`Json::UInt`], so `u64` payloads — RNG seeds,
-//! guard limits — survive exactly, never through an `f64`.
+//! The workspace builds offline (no serde), so it carries its own small
+//! codec, and it round-trips: [`Json::parse`] accepts everything
+//! [`Json`]'s `Display` produces (and standard JSON generally).
+//! `Display` is compact (no spaces), keeps object keys in insertion
+//! order, and escapes `"`, `\` and every control character, so encoders
+//! that build a [`Json`] value get canonical bytes for free.
+//! Non-negative integer literals parse into [`Json::UInt`], so `u64`
+//! payloads — RNG seeds, guard limits — survive exactly, never through
+//! an `f64`.
+//!
+//! Decoders read fields through the `req_*` helpers, whose errors name
+//! the offending key; JSONL formats read lines through a `JsonlReader`,
+//! which checks the header line's type tag and schema version.
 
 use std::fmt;
 
@@ -60,6 +70,16 @@ impl Json {
             _ => panic!("field() on non-object"),
         }
         self
+    }
+
+    /// Adds a field only when `value` is `Some`: optional fields are
+    /// omitted, not written as `null`.
+    #[must_use]
+    pub fn field_opt(self, key: &str, value: Option<impl Into<Json>>) -> Json {
+        match value {
+            Some(v) => self.field(key, v),
+            None => self,
+        }
     }
 
     /// Member of an object by key.
@@ -126,6 +146,98 @@ impl Json {
         matches!(self, Json::Null)
     }
 
+    /// Optional member `key`: `None` when absent or `null`, otherwise
+    /// read with `read` (one of the `req_*` helpers), e.g.
+    /// `doc.opt("parent", Json::req_uint)`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `read` reports for a present member.
+    pub fn opt<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(_) => read(self, key).map(Some),
+        }
+    }
+
+    /// Member `key`, or an error naming it.
+    ///
+    /// # Errors
+    ///
+    /// `missing field "<key>"`.
+    pub fn req(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// String member `key`.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent or not a string.
+    pub fn req_str(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing string field {key:?}"))
+    }
+
+    /// Unsigned integer member `key`, converted to `T` (`u64`, `u32`,
+    /// `usize`, ...) with a range check — never a silent truncation.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent, not an unsigned integer, or out
+    /// of `T`'s range.
+    pub fn req_uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let v = self
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing integer field {key:?}"))?;
+        T::try_from(v).map_err(|_| {
+            format!(
+                "field {key:?} = {v} does not fit {}",
+                std::any::type_name::<T>()
+            )
+        })
+    }
+
+    /// Numeric member `key` as `f64`.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent or not a number.
+    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("missing numeric field {key:?}"))
+    }
+
+    /// Boolean member `key`.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent or not a boolean.
+    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
+        self.get(key)
+            .and_then(Json::as_bool)
+            .ok_or_else(|| format!("missing bool field {key:?}"))
+    }
+
+    /// Array member `key`.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent or not an array.
+    pub fn req_arr(&self, key: &str) -> Result<&[Json], String> {
+        self.get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("missing array field {key:?}"))
+    }
+
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     ///
@@ -136,6 +248,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -261,9 +374,108 @@ impl fmt::Display for Json {
     }
 }
 
+/// Renders records as JSONL: one compact document per line, each
+/// newline-terminated.
+pub(crate) fn jsonl(records: impl IntoIterator<Item = Json>) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for record in records {
+        let _ = writeln!(out, "{record}");
+    }
+    out
+}
+
+/// Reads a JSONL document record by record: blank lines are skipped,
+/// every other line must be one JSON document, and errors carry the
+/// format name and 1-based line number (`"trace line 3: ..."`).
+pub(crate) struct JsonlReader<'a> {
+    what: &'static str,
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    read: usize,
+}
+
+impl<'a> JsonlReader<'a> {
+    /// A reader over `text`, naming the format `what` in errors.
+    pub(crate) fn new(what: &'static str, text: &'a str) -> JsonlReader<'a> {
+        JsonlReader {
+            what,
+            lines: text.lines().enumerate(),
+            read: 0,
+        }
+    }
+
+    /// `e` prefixed with the format name and line number.
+    pub(crate) fn at(&self, lineno: usize, e: impl fmt::Display) -> String {
+        format!("{} line {lineno}: {e}", self.what)
+    }
+
+    /// The next record and its line number; `None` at end of input.
+    pub(crate) fn record(&mut self) -> Option<Result<(usize, Json), String>> {
+        let (idx, line) = self.lines.find(|(_, l)| !l.trim().is_empty())?;
+        self.read += 1;
+        Some(
+            Json::parse(line)
+                .map(|v| (idx + 1, v))
+                .map_err(|e| self.at(idx + 1, e)),
+        )
+    }
+
+    /// Reads the header record `{"type":<tag>,"v":<version>,...}` and
+    /// decodes its remaining fields with `decode`.
+    pub(crate) fn header<T>(
+        &mut self,
+        tag: &str,
+        version: u64,
+        decode: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let what = self.what;
+        let Some(record) = self.record() else {
+            return Err(if self.read == 0 {
+                format!("{what}: empty input (missing header line)")
+            } else {
+                format!("{what}: input ends before the {tag:?} header line")
+            });
+        };
+        let (lineno, head) = record?;
+        if head.get("type").and_then(Json::as_str) != Some(tag) {
+            return Err(self.at(
+                lineno,
+                format!("expected the header {{\"type\":\"{tag}\",...}}"),
+            ));
+        }
+        match head.get("v").and_then(Json::as_u64) {
+            Some(v) if v == version => decode(&head).map_err(|e| self.at(lineno, e)),
+            Some(v) => Err(format!(
+                "{what}: unsupported schema version {v} (expected {version})"
+            )),
+            None => Err(format!("{what}: header missing integer field \"v\"")),
+        }
+    }
+
+    /// Feeds every remaining record to `decode`, prefixing its errors
+    /// with the record's line.
+    pub(crate) fn each(
+        &mut self,
+        mut decode: impl FnMut(&Json) -> Result<(), String>,
+    ) -> Result<(), String> {
+        while let Some(record) = self.record() {
+            let (lineno, obj) = record?;
+            decode(&obj).map_err(|e| self.at(lineno, e))?;
+        }
+        Ok(())
+    }
+}
+
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded depth would let a hostile line such as
+/// `[[[[...` overflow the stack; no format this codec reads nests
+/// anywhere near this deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -308,8 +520,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -548,6 +771,12 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+        // Nesting is capped (an error, not a stack overflow); documents
+        // at the cap still parse.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"[{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

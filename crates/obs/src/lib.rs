@@ -20,6 +20,13 @@
 //! [`ProfileReport`]) or collapsed stacks ([`collapsed_stacks`]) for
 //! flamegraph tooling.
 //!
+//! Every artifact the workspace writes — traces, telemetry, flight
+//! dumps, anomaly digests, provenance records, profiles, metrics, and
+//! the corpus and daemon documents built on top — goes through one
+//! codec, [`Json`], which lives here at the bottom of the dependency
+//! graph. Each format keeps its encoder and decoder side by side in one
+//! module.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use diode_obs::{job_scope, span, Phase, PhaseBreakdown, Recorder};
@@ -45,6 +52,7 @@
 mod audit;
 mod flight;
 mod gauge;
+mod json;
 mod metrics;
 mod ops;
 mod profile;
@@ -55,19 +63,20 @@ mod telemetry;
 mod watchdog;
 
 pub use audit::{
-    canonical_record_set, fnv64_hex, EnforceAction, ProvenanceEvent, ProvenanceRecord, QueryOrigin,
-    QueryVerdict, AUDIT_SCHEMA_VERSION,
+    canonical_record_set, fnv64_hex, record_from_json, EnforceAction, ProvenanceEvent,
+    ProvenanceRecord, QueryOrigin, QueryVerdict, AUDIT_SCHEMA_VERSION,
 };
 pub use flight::{FlightDump, FlightRecorder, FLIGHT_SCHEMA_VERSION};
 pub use gauge::ByteGauge;
+pub use json::{Json, JsonError};
 pub use metrics::{Hist, HistSummary};
 pub use ops::{
     parse_prometheus, Counter, Gauge, Histogram, MetricKey, MetricSample, MetricValue,
     MetricsRegistry, MetricsSnapshot, PromSample, METRICS_SCHEMA_VERSION,
 };
 pub use profile::{
-    collapsed_stacks, PhaseBreakdown, PhaseDelta, PhaseRow, ProfileDiff, ProfileReport, SiteDelta,
-    SiteRow,
+    collapsed_stacks, profile_from_json, PhaseBreakdown, PhaseDelta, PhaseRow, ProfileDiff,
+    ProfileReport, SiteDelta, SiteRow,
 };
 pub use pulse::{
     HeartbeatSample, PulseBus, PulseEvent, PulseRing, SchedGauges, Subscriber, WorkerState,

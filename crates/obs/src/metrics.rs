@@ -4,6 +4,8 @@
 //! duration; quantiles report the upper bound of the bucket holding the
 //! requested rank, so p50/p99 are conservative (never under-estimate).
 
+use crate::json::Json;
+
 /// A log2-bucketed histogram of `u64` observations (durations in ns).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hist {
@@ -134,6 +136,29 @@ pub struct HistSummary {
     pub p50: u64,
     /// Conservative 99th percentile (bucket upper bound).
     pub p99: u64,
+}
+
+impl HistSummary {
+    /// Appends the summary's fields to a JSON object (the shape trace
+    /// `hist` records and the metrics exposition share).
+    pub(crate) fn json_fields(&self, obj: Json) -> Json {
+        obj.field("count", self.count)
+            .field("sum", self.sum)
+            .field("max", self.max)
+            .field("p50", self.p50)
+            .field("p99", self.p99)
+    }
+
+    /// Inverse of [`HistSummary::json_fields`].
+    pub(crate) fn from_json(obj: &Json) -> Result<HistSummary, String> {
+        Ok(HistSummary {
+            count: obj.req_uint("count")?,
+            sum: obj.req_uint("sum")?,
+            max: obj.req_uint("max")?,
+            p50: obj.req_uint("p50")?,
+            p99: obj.req_uint("p99")?,
+        })
+    }
 }
 
 #[cfg(test)]

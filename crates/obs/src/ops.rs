@@ -9,9 +9,8 @@
 //! the current values into a [`MetricsSnapshot`], which renders to
 //! either exposition:
 //!
-//! * [`MetricsSnapshot::to_json`] — one flat JSON object per metric
-//!   kind, parseable by the same zero-dependency codecs every other
-//!   diode artifact uses.
+//! * [`MetricsSnapshot::to_json`] — one JSON object per metric kind,
+//!   in the [`Json`](crate::Json) codec every other diode artifact uses.
 //! * [`MetricsSnapshot::to_prometheus`] — the Prometheus text format,
 //!   hand-rolled: `# HELP`/`# TYPE` comments, backslash/quote/newline
 //!   escaping in label values, and histogram buckets exposed
@@ -25,8 +24,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json::Json;
 use crate::metrics::Hist;
-use crate::sink::push_json_str;
 
 /// Version stamped into the JSON exposition; bump on shape changes.
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
@@ -368,46 +367,28 @@ impl MetricsSnapshot {
 
     /// The JSON exposition: one object with `counters`, `gauges`, and
     /// `histograms` maps keyed by the Prometheus selector. Histograms
-    /// carry their summary (count/sum/max/p50/p99) rather than buckets.
+    /// carry their summary (count/sum/max/p50/p99) rather than buckets;
+    /// a non-finite gauge renders as `null`.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut hists = String::new();
+    pub fn to_json(&self) -> Json {
+        let mut counters = Vec::new();
+        let mut gauges = Vec::new();
+        let mut hists = Vec::new();
         for sample in &self.samples {
+            let key = sample.key.selector();
             match &sample.value {
-                MetricValue::Counter(v) => {
-                    if !counters.is_empty() {
-                        counters.push(',');
-                    }
-                    push_json_str(&mut counters, &sample.key.selector());
-                    let _ = write!(counters, ":{v}");
-                }
-                MetricValue::Gauge(v) => {
-                    if !gauges.is_empty() {
-                        gauges.push(',');
-                    }
-                    push_json_str(&mut gauges, &sample.key.selector());
-                    let _ = write!(gauges, ":{}", fmt_f64(*v));
-                }
+                MetricValue::Counter(v) => counters.push((key, Json::from(*v))),
+                MetricValue::Gauge(v) => gauges.push((key, Json::from(*v))),
                 MetricValue::Histogram(h) => {
-                    if !hists.is_empty() {
-                        hists.push(',');
-                    }
-                    push_json_str(&mut hists, &sample.key.selector());
-                    let s = h.summary();
-                    let _ = write!(
-                        hists,
-                        ":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
-                        s.count, s.sum, s.max, s.p50, s.p99
-                    );
+                    hists.push((key, h.summary().json_fields(Json::obj())))
                 }
             }
         }
-        format!(
-            "{{\"schema\":{METRICS_SCHEMA_VERSION},\"counters\":{{{counters}}},\
-             \"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}"
-        )
+        Json::obj()
+            .field("schema", METRICS_SCHEMA_VERSION)
+            .field("counters", Json::Obj(counters))
+            .field("gauges", Json::Obj(gauges))
+            .field("histograms", Json::Obj(hists))
     }
 }
 
@@ -724,11 +705,25 @@ mod tests {
         reg.counter("c_total", "", &[("k", "v")]).add(2);
         reg.gauge("g", "", &[]).set(0.5);
         reg.histogram("h_ns", "", &[]).observe(9);
-        let json = reg.snapshot().to_json();
+        let json = reg.snapshot().to_json().to_string();
         assert!(json.starts_with("{\"schema\":1,"));
         assert!(json.contains("\"c_total{k=\\\"v\\\"}\":2"));
         assert!(json.contains("\"g\":0.5"));
         assert!(json.contains("\"count\":1"));
+        // Wire bytes pinned to the format's first release.
+        let golden = r#"{"schema":1,"counters":{"c_total{k=\"v\"}":2},"gauges":{"g":0.5},"histograms":{"h_ns":{"count":1,"sum":9,"max":9,"p50":9,"p99":9}}}"#;
+        assert_eq!(json, golden);
+        assert_eq!(Json::parse(golden).unwrap().to_string(), golden);
+        // A non-finite gauge renders as null, so the exposition parses.
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            reg.gauge("g", "", &[]).set(v);
+            let text = reg.snapshot().to_json().to_string();
+            let doc = Json::parse(&text).expect("non-finite gauge exposition parses");
+            assert_eq!(
+                doc.get("gauges").and_then(|g| g.get("g")),
+                Some(&Json::Null)
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Versioned flat-JSONL wire format for pulse telemetry.
+//! Versioned JSONL wire format for pulse telemetry.
 //!
-//! A telemetry stream is one flat JSON object per line, in the same
-//! zero-dependency codec the trace format uses:
+//! A telemetry stream is one JSON object per line:
 //!
 //! ```text
 //! {"type":"pulse","v":1,"threads":4}
@@ -13,51 +12,47 @@
 //! {"type":"finished","wall_ns":812345678,"sites":40,"exposed":14}
 //! ```
 //!
-//! Because the codec only supports flat objects, a heartbeat's
-//! per-worker states serialise as separate `worker` lines referencing
-//! the heartbeat's `seq`; [`TelemetryLog::from_jsonl`] reassembles
-//! them. Events stream incrementally — a live writer appends
-//! [`pulse_event_lines`] as the subscriber drains — and the reader
-//! tolerates a truncated tail only insofar as every present line must
-//! still parse.
+//! Every record is a flat object, so a heartbeat's per-worker states
+//! serialise as separate `worker` lines referencing the heartbeat's
+//! `seq`; [`TelemetryLog::from_jsonl`] reassembles them. Events stream
+//! incrementally — a live writer appends [`pulse_event_lines`] as the
+//! subscriber drains — and the reader tolerates a truncated tail only
+//! insofar as every present line must still parse.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
+use crate::json::{jsonl, Json, JsonlReader};
 use crate::pulse::{HeartbeatSample, PulseEvent, Subscriber, WorkerState};
-use crate::sink::{parse_flat_object, push_json_str, FlatValue};
 
 /// Version stamped into (and required from) the telemetry header line.
 pub const TELEMETRY_SCHEMA_VERSION: u64 = 1;
 
+fn header_json(threads: u32) -> Json {
+    Json::obj()
+        .field("type", "pulse")
+        .field("v", TELEMETRY_SCHEMA_VERSION)
+        .field("threads", threads)
+}
+
 /// The header line opening every telemetry stream.
 #[must_use]
 pub fn telemetry_header(threads: u32) -> String {
-    format!("{{\"type\":\"pulse\",\"v\":{TELEMETRY_SCHEMA_VERSION},\"threads\":{threads}}}\n")
+    jsonl([header_json(threads)])
 }
 
-fn push_unit_fields(out: &mut String, app: &str, seed: u32) {
-    out.push_str(",\"app\":");
-    push_json_str(out, app);
-    let _ = write!(out, ",\"seed\":{seed}");
+/// A record of type `kind` about one unit (`app`, `seed`).
+fn unit_json(kind: &str, app: &str, seed: u32) -> Json {
+    Json::obj()
+        .field("type", kind)
+        .field("app", app)
+        .field("seed", seed)
 }
 
-/// Serialises one event to its line (or lines, for heartbeats), each
-/// newline-terminated.
-#[must_use]
-pub fn pulse_event_lines(event: &PulseEvent) -> String {
-    let mut out = String::new();
+/// One event's records: a single record, or for a heartbeat the
+/// sample followed by one `worker` record per worker.
+fn event_records(event: &PulseEvent) -> Vec<Json> {
     match event {
-        PulseEvent::UnitStarted { app, seed } => {
-            out.push_str("{\"type\":\"unit_started\"");
-            push_unit_fields(&mut out, app, *seed);
-            out.push_str("}\n");
-        }
+        PulseEvent::UnitStarted { app, seed } => vec![unit_json("unit_started", app, *seed)],
         PulseEvent::SitesIdentified { app, seed, sites } => {
-            out.push_str("{\"type\":\"sites_identified\"");
-            push_unit_fields(&mut out, app, *seed);
-            let _ = write!(out, ",\"sites\":{sites}}}");
-            out.push('\n');
+            vec![unit_json("sites_identified", app, *seed).field("sites", *sites)]
         }
         PulseEvent::SiteFinished {
             app,
@@ -68,74 +63,176 @@ pub fn pulse_event_lines(event: &PulseEvent) -> String {
             cache_bytes,
             snapshot_bytes,
             peak_heap_bytes,
-        } => {
-            out.push_str("{\"type\":\"site_finished\"");
-            push_unit_fields(&mut out, app, *seed);
-            out.push_str(",\"site\":");
-            push_json_str(&mut out, site);
-            out.push_str(",\"outcome\":");
-            push_json_str(&mut out, outcome);
-            let _ = write!(
-                out,
-                ",\"wall_ns\":{wall_ns},\"cache_bytes\":{cache_bytes},\
-                 \"snapshot_bytes\":{snapshot_bytes},\"peak_heap_bytes\":{peak_heap_bytes}}}"
-            );
-            out.push('\n');
-        }
+        } => vec![unit_json("site_finished", app, *seed)
+            .field("site", site.as_str())
+            .field("outcome", outcome.as_str())
+            .field("wall_ns", *wall_ns)
+            .field("cache_bytes", *cache_bytes)
+            .field("snapshot_bytes", *snapshot_bytes)
+            .field("peak_heap_bytes", *peak_heap_bytes)],
         PulseEvent::Heartbeat(hb) => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"heartbeat\",\"seq\":{},\"t_ns\":{},\"workers\":{},\
-                 \"queued\":{},\"pending\":{},\"steals\":{},\"jobs_done\":{},\
-                 \"cache_bytes\":{},\"cache_entries\":{},\"snapshot_bytes\":{},\
-                 \"snapshot_entries\":{},\"interp_peak_heap_bytes\":{}}}",
-                hb.seq,
-                hb.t_ns,
-                hb.workers.len(),
-                hb.queued,
-                hb.pending,
-                hb.steals,
-                hb.jobs_done,
-                hb.cache_bytes,
-                hb.cache_entries,
-                hb.snapshot_bytes,
-                hb.snapshot_entries,
-                hb.interp_peak_heap_bytes,
-            );
-            out.push('\n');
-            for (i, state) in hb.workers.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"worker\",\"hb\":{},\"worker\":{i}",
-                    hb.seq
-                );
-                out.push_str(",\"state\":");
-                push_json_str(&mut out, state.token());
+            let sample = Json::obj()
+                .field("type", "heartbeat")
+                .field("seq", hb.seq)
+                .field("t_ns", hb.t_ns)
+                .field("workers", hb.workers.len())
+                .field("queued", hb.queued)
+                .field("pending", hb.pending)
+                .field("steals", hb.steals)
+                .field("jobs_done", hb.jobs_done)
+                .field("cache_bytes", hb.cache_bytes)
+                .field("cache_entries", hb.cache_entries)
+                .field("snapshot_bytes", hb.snapshot_bytes)
+                .field("snapshot_entries", hb.snapshot_entries)
+                .field("interp_peak_heap_bytes", hb.interp_peak_heap_bytes);
+            let workers = hb.workers.iter().enumerate().map(|(i, state)| {
+                let line = Json::obj()
+                    .field("type", "worker")
+                    .field("hb", hb.seq)
+                    .field("worker", i)
+                    .field("state", state.token());
                 match state {
-                    WorkerState::Idle => {}
-                    WorkerState::Unit { app, seed } => push_unit_fields(&mut out, app, *seed),
-                    WorkerState::Site { app, seed, site } => {
-                        push_unit_fields(&mut out, app, *seed);
-                        out.push_str(",\"site\":");
-                        push_json_str(&mut out, site);
+                    WorkerState::Idle => line,
+                    WorkerState::Unit { app, seed } => {
+                        line.field("app", app.as_str()).field("seed", *seed)
                     }
+                    WorkerState::Site { app, seed, site } => line
+                        .field("app", app.as_str())
+                        .field("seed", *seed)
+                        .field("site", site.as_str()),
                 }
-                out.push_str("}\n");
-            }
+            });
+            std::iter::once(sample).chain(workers).collect()
         }
         PulseEvent::Finished {
             wall_ns,
             sites,
             exposed,
-        } => {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"finished\",\"wall_ns\":{wall_ns},\"sites\":{sites},\
-                 \"exposed\":{exposed}}}"
-            );
-        }
+        } => vec![Json::obj()
+            .field("type", "finished")
+            .field("wall_ns", *wall_ns)
+            .field("sites", *sites)
+            .field("exposed", *exposed)],
     }
-    out
+}
+
+/// Serialises one event to its line (or lines, for heartbeats), each
+/// newline-terminated.
+#[must_use]
+pub fn pulse_event_lines(event: &PulseEvent) -> String {
+    jsonl(event_records(event))
+}
+
+/// A whole stream's records: header, then every event.
+pub(crate) fn telemetry_records<'a>(
+    threads: u32,
+    events: impl IntoIterator<Item = &'a PulseEvent> + 'a,
+) -> impl Iterator<Item = Json> + 'a {
+    std::iter::once(header_json(threads)).chain(events.into_iter().flat_map(event_records))
+}
+
+/// Decodes one non-heartbeat, non-worker record.
+fn event_from_json(kind: &str, obj: &Json) -> Result<PulseEvent, String> {
+    let app = || obj.req_str("app").map(str::to_string);
+    Ok(match kind {
+        "unit_started" => PulseEvent::UnitStarted {
+            app: app()?,
+            seed: obj.req_uint("seed")?,
+        },
+        "sites_identified" => PulseEvent::SitesIdentified {
+            app: app()?,
+            seed: obj.req_uint("seed")?,
+            sites: obj.req_uint("sites")?,
+        },
+        "site_finished" => PulseEvent::SiteFinished {
+            app: app()?,
+            seed: obj.req_uint("seed")?,
+            site: obj.req_str("site")?.to_string(),
+            outcome: obj.req_str("outcome")?.to_string(),
+            wall_ns: obj.req_uint("wall_ns")?,
+            cache_bytes: obj.req_uint("cache_bytes")?,
+            snapshot_bytes: obj.req_uint("snapshot_bytes")?,
+            peak_heap_bytes: obj.req_uint("peak_heap_bytes")?,
+        },
+        "finished" => PulseEvent::Finished {
+            wall_ns: obj.req_uint("wall_ns")?,
+            sites: obj.req_uint("sites")?,
+            exposed: obj.req_uint("exposed")?,
+        },
+        other => return Err(format!("unknown record type {other:?}")),
+    })
+}
+
+/// Decodes a heartbeat sample and its declared worker count. The worker
+/// states are filled in by the `worker` records that follow, so no
+/// allocation is sized by the untrusted count.
+fn heartbeat_from_json(obj: &Json) -> Result<(usize, HeartbeatSample), String> {
+    let sample = HeartbeatSample {
+        seq: obj.req_uint("seq")?,
+        t_ns: obj.req_uint("t_ns")?,
+        workers: Vec::new(),
+        queued: obj.req_uint("queued")?,
+        pending: obj.req_uint("pending")?,
+        steals: obj.req_uint("steals")?,
+        jobs_done: obj.req_uint("jobs_done")?,
+        cache_bytes: obj.req_uint("cache_bytes")?,
+        cache_entries: obj.req_uint("cache_entries")?,
+        snapshot_bytes: obj.req_uint("snapshot_bytes")?,
+        snapshot_entries: obj.req_uint("snapshot_entries")?,
+        interp_peak_heap_bytes: obj.req_uint("interp_peak_heap_bytes")?,
+    };
+    Ok((obj.req_uint("workers")?, sample))
+}
+
+/// Closes a heartbeat once every declared worker record has arrived.
+fn heartbeat_closed((declared, hb): (usize, HeartbeatSample)) -> Result<PulseEvent, String> {
+    if hb.workers.len() != declared {
+        return Err(format!(
+            "heartbeat {} declares {declared} worker(s) but {} worker line(s) follow",
+            hb.seq,
+            hb.workers.len()
+        ));
+    }
+    Ok(PulseEvent::Heartbeat(hb))
+}
+
+/// Applies one `worker` record to the heartbeat under assembly, which
+/// declared `declared` workers; the writer emits them in index order.
+fn worker_into(declared: usize, hb: &mut HeartbeatSample, obj: &Json) -> Result<(), String> {
+    let hb_seq: u64 = obj.req_uint("hb")?;
+    if hb_seq != hb.seq {
+        return Err(format!(
+            "worker references heartbeat {hb_seq} but heartbeat {} is open",
+            hb.seq
+        ));
+    }
+    let index: usize = obj.req_uint("worker")?;
+    if index >= declared {
+        return Err(format!(
+            "worker index {index} out of range (heartbeat declares {declared})"
+        ));
+    }
+    if index != hb.workers.len() {
+        return Err(format!(
+            "worker index {index} out of order (expected {})",
+            hb.workers.len()
+        ));
+    }
+    let state = match obj.req_str("state")? {
+        "idle" => WorkerState::Idle,
+        "unit" => WorkerState::Unit {
+            app: obj.req_str("app")?.to_string(),
+            seed: obj.req_uint("seed")?,
+        },
+        "site" => WorkerState::Site {
+            app: obj.req_str("app")?.to_string(),
+            seed: obj.req_uint("seed")?,
+            site: obj.req_str("site")?.to_string(),
+        },
+        other => return Err(format!("unknown worker state {other:?}")),
+    };
+    hb.workers.push(state);
+    Ok(())
 }
 
 /// An incremental [`Subscriber`] → wire-format forwarder: the fan-out
@@ -212,166 +309,47 @@ impl TelemetryLog {
     /// Serialises header + every event back to the wire format.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = telemetry_header(self.threads);
-        for event in &self.events {
-            out.push_str(&pulse_event_lines(event));
-        }
-        out
+        jsonl(telemetry_records(self.threads, &self.events))
     }
 
     /// Parses a telemetry stream, reassembling heartbeat worker lines.
     pub fn from_jsonl(text: &str) -> Result<TelemetryLog, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let Some((_, header)) = lines.next() else {
-            return Err("telemetry: empty input (missing header line)".into());
-        };
-        let head = parse_flat_object(header).map_err(|e| format!("telemetry line 1: {e}"))?;
-        if head.get("type").and_then(FlatValue::as_str) != Some("pulse") {
-            return Err("telemetry: first line must be the header {\"type\":\"pulse\",...}".into());
-        }
-        match head.get("v").and_then(FlatValue::as_u64) {
-            Some(TELEMETRY_SCHEMA_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "telemetry: unsupported schema version {v} \
-                     (expected {TELEMETRY_SCHEMA_VERSION})"
-                ))
-            }
-            None => return Err("telemetry: header missing integer field \"v\"".into()),
-        }
-        let threads = head.get("threads").and_then(FlatValue::as_u64).unwrap_or(0) as u32;
-        let mut log = TelemetryLog {
-            threads,
-            events: Vec::new(),
-        };
-        // A heartbeat under assembly: its declared worker count and the
-        // sample collecting `worker` lines.
-        let mut pending: Option<(u64, HeartbeatSample)> = None;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            let obj =
-                parse_flat_object(line).map_err(|e| format!("telemetry line {lineno}: {e}"))?;
-            let kind = obj
-                .get("type")
-                .and_then(FlatValue::as_str)
-                .ok_or_else(|| format!("telemetry line {lineno}: missing \"type\""))?;
-            if kind != "worker" {
-                if let Some((_, hb)) = pending.take() {
-                    log.events.push(PulseEvent::Heartbeat(hb));
-                }
-            }
-            match kind {
-                "unit_started" => log.events.push(PulseEvent::UnitStarted {
-                    app: req_str(&obj, "app", lineno)?,
-                    seed: req_u64(&obj, "seed", lineno)? as u32,
-                }),
-                "sites_identified" => log.events.push(PulseEvent::SitesIdentified {
-                    app: req_str(&obj, "app", lineno)?,
-                    seed: req_u64(&obj, "seed", lineno)? as u32,
-                    sites: req_u64(&obj, "sites", lineno)?,
-                }),
-                "site_finished" => log.events.push(PulseEvent::SiteFinished {
-                    app: req_str(&obj, "app", lineno)?,
-                    seed: req_u64(&obj, "seed", lineno)? as u32,
-                    site: req_str(&obj, "site", lineno)?,
-                    outcome: req_str(&obj, "outcome", lineno)?,
-                    wall_ns: req_u64(&obj, "wall_ns", lineno)?,
-                    cache_bytes: req_u64(&obj, "cache_bytes", lineno)?,
-                    snapshot_bytes: req_u64(&obj, "snapshot_bytes", lineno)?,
-                    peak_heap_bytes: req_u64(&obj, "peak_heap_bytes", lineno)?,
-                }),
-                "heartbeat" => {
-                    let workers = req_u64(&obj, "workers", lineno)?;
-                    let sample = HeartbeatSample {
-                        seq: req_u64(&obj, "seq", lineno)?,
-                        t_ns: req_u64(&obj, "t_ns", lineno)?,
-                        workers: vec![WorkerState::Idle; workers as usize],
-                        queued: req_u64(&obj, "queued", lineno)?,
-                        pending: req_u64(&obj, "pending", lineno)?,
-                        steals: req_u64(&obj, "steals", lineno)?,
-                        jobs_done: req_u64(&obj, "jobs_done", lineno)?,
-                        cache_bytes: req_u64(&obj, "cache_bytes", lineno)?,
-                        cache_entries: req_u64(&obj, "cache_entries", lineno)?,
-                        snapshot_bytes: req_u64(&obj, "snapshot_bytes", lineno)?,
-                        snapshot_entries: req_u64(&obj, "snapshot_entries", lineno)?,
-                        interp_peak_heap_bytes: req_u64(&obj, "interp_peak_heap_bytes", lineno)?,
-                    };
-                    pending = Some((workers, sample));
-                }
-                "worker" => {
-                    let Some((_, hb)) = pending.as_mut() else {
-                        return Err(format!(
-                            "telemetry line {lineno}: worker record outside a heartbeat"
-                        ));
-                    };
-                    let hb_seq = req_u64(&obj, "hb", lineno)?;
-                    if hb_seq != hb.seq {
-                        return Err(format!(
-                            "telemetry line {lineno}: worker references heartbeat {hb_seq} \
-                             but heartbeat {} is open",
-                            hb.seq
-                        ));
-                    }
-                    let index = req_u64(&obj, "worker", lineno)? as usize;
-                    if index >= hb.workers.len() {
-                        return Err(format!(
-                            "telemetry line {lineno}: worker index {index} out of range \
-                             (heartbeat declares {})",
-                            hb.workers.len()
-                        ));
-                    }
-                    let state = match req_str(&obj, "state", lineno)?.as_str() {
-                        "idle" => WorkerState::Idle,
-                        "unit" => WorkerState::Unit {
-                            app: req_str(&obj, "app", lineno)?,
-                            seed: req_u64(&obj, "seed", lineno)? as u32,
-                        },
-                        "site" => WorkerState::Site {
-                            app: req_str(&obj, "app", lineno)?,
-                            seed: req_u64(&obj, "seed", lineno)? as u32,
-                            site: req_str(&obj, "site", lineno)?,
-                        },
-                        other => {
-                            return Err(format!(
-                                "telemetry line {lineno}: unknown worker state {other:?}"
-                            ))
-                        }
-                    };
-                    hb.workers[index] = state;
-                }
-                "finished" => log.events.push(PulseEvent::Finished {
-                    wall_ns: req_u64(&obj, "wall_ns", lineno)?,
-                    sites: req_u64(&obj, "sites", lineno)?,
-                    exposed: req_u64(&obj, "exposed", lineno)?,
-                }),
-                other => {
-                    return Err(format!(
-                        "telemetry line {lineno}: unknown record type {other:?}"
-                    ))
-                }
-            }
-        }
-        if let Some((_, hb)) = pending.take() {
-            log.events.push(PulseEvent::Heartbeat(hb));
-        }
-        Ok(log)
+        TelemetryLog::read(&mut JsonlReader::new("telemetry", text))
     }
-}
 
-fn req_str(obj: &BTreeMap<String, FlatValue>, key: &str, lineno: usize) -> Result<String, String> {
-    obj.get(key)
-        .and_then(FlatValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("telemetry line {lineno}: missing string field {key:?}"))
-}
-
-fn req_u64(obj: &BTreeMap<String, FlatValue>, key: &str, lineno: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(FlatValue::as_u64)
-        .ok_or_else(|| format!("telemetry line {lineno}: missing integer field {key:?}"))
+    /// Reads a header line and every record after it from `reader`
+    /// (a whole telemetry file, or the tail of a flight dump).
+    pub(crate) fn read(reader: &mut JsonlReader<'_>) -> Result<TelemetryLog, String> {
+        let threads = reader.header("pulse", TELEMETRY_SCHEMA_VERSION, |head| {
+            Ok(head.opt("threads", Json::req_uint)?.unwrap_or(0))
+        })?;
+        let mut events = Vec::new();
+        // The heartbeat under assembly (with its declared worker count),
+        // collecting `worker` lines.
+        let mut pending: Option<(usize, HeartbeatSample)> = None;
+        reader.each(|obj| {
+            let kind = obj.req_str("type")?;
+            if kind == "worker" {
+                let (declared, hb) = pending
+                    .as_mut()
+                    .ok_or("worker record outside a heartbeat")?;
+                return worker_into(*declared, hb, obj);
+            }
+            if let Some(open) = pending.take() {
+                events.push(heartbeat_closed(open)?);
+            }
+            if kind == "heartbeat" {
+                pending = Some(heartbeat_from_json(obj)?);
+            } else {
+                events.push(event_from_json(kind, obj)?);
+            }
+            Ok(())
+        })?;
+        if let Some(open) = pending {
+            events.push(heartbeat_closed(open).map_err(|e| format!("telemetry: {e}"))?);
+        }
+        Ok(TelemetryLog { threads, events })
+    }
 }
 
 #[cfg(test)]
@@ -450,6 +428,22 @@ mod tests {
         let back = TelemetryLog::from_jsonl(&text).unwrap();
         assert_eq!(back, log);
         assert_eq!(back.to_jsonl(), text);
+        // Wire bytes pinned to the format's first release: every event
+        // type, heartbeats with their worker lines in all three states.
+        let golden = r#"{"type":"pulse","v":1,"threads":2}
+{"type":"unit_started","app":"forged-001","seed":0}
+{"type":"sites_identified","app":"forged-001","seed":0,"sites":3}
+{"type":"heartbeat","seq":0,"t_ns":50000000,"workers":2,"queued":2,"pending":3,"steals":1,"jobs_done":4,"cache_bytes":512,"cache_entries":8,"snapshot_bytes":4096,"snapshot_entries":3,"interp_peak_heap_bytes":1024}
+{"type":"worker","hb":0,"worker":0,"state":"site","app":"forged-001","seed":0,"site":"b0@7"}
+{"type":"worker","hb":0,"worker":1,"state":"idle"}
+{"type":"site_finished","app":"forged-001","seed":0,"site":"b0@7","outcome":"exposed","wall_ns":9000000,"cache_bytes":512,"snapshot_bytes":4096,"peak_heap_bytes":1024}
+{"type":"heartbeat","seq":1,"t_ns":100000000,"workers":2,"queued":0,"pending":0,"steals":0,"jobs_done":0,"cache_bytes":0,"cache_entries":0,"snapshot_bytes":0,"snapshot_entries":0,"interp_peak_heap_bytes":0}
+{"type":"worker","hb":1,"worker":0,"state":"unit","app":"forged-002 \"q\"","seed":1}
+{"type":"worker","hb":1,"worker":1,"state":"idle"}
+{"type":"finished","wall_ns":200000000,"sites":3,"exposed":1}
+"#;
+        assert_eq!(text, golden);
+        assert_eq!(TelemetryLog::from_jsonl(golden).unwrap().to_jsonl(), golden);
     }
 
     #[test]
@@ -519,5 +513,37 @@ mod tests {
         assert!(TelemetryLog::from_jsonl(bad_index)
             .unwrap_err()
             .contains("out of range"));
+        // A hostile worker count is refused before anything is allocated.
+        let huge_workers = "{\"type\":\"pulse\",\"v\":1,\"threads\":1}\n\
+             {\"type\":\"heartbeat\",\"seq\":0,\"t_ns\":0,\"workers\":1000000000000,\
+              \"queued\":0,\"pending\":0,\"steals\":0,\"jobs_done\":0,\"cache_bytes\":0,\
+              \"cache_entries\":0,\"snapshot_bytes\":0,\"snapshot_entries\":0,\
+              \"interp_peak_heap_bytes\":0}\n";
+        assert!(TelemetryLog::from_jsonl(huge_workers)
+            .unwrap_err()
+            .contains("declares 1000000000000 worker(s)"));
+        // A heartbeat closes only once every declared worker has a line.
+        let short_heartbeat = "{\"type\":\"pulse\",\"v\":1,\"threads\":2}\n\
+             {\"type\":\"heartbeat\",\"seq\":0,\"t_ns\":0,\"workers\":2,\"queued\":0,\
+              \"pending\":0,\"steals\":0,\"jobs_done\":0,\"cache_bytes\":0,\"cache_entries\":0,\
+              \"snapshot_bytes\":0,\"snapshot_entries\":0,\"interp_peak_heap_bytes\":0}\n\
+             {\"type\":\"worker\",\"hb\":0,\"worker\":0,\"state\":\"idle\"}\n";
+        assert!(TelemetryLog::from_jsonl(short_heartbeat)
+            .unwrap_err()
+            .contains("declares 2 worker(s) but 1 worker line(s) follow"));
+        // A hostile nesting depth is an error, not a stack overflow.
+        let deep = format!(
+            "{{\"type\":\"pulse\",\"v\":1,\"threads\":1}}\n{{\"type\":{}\n",
+            "[".repeat(100_000)
+        );
+        assert!(TelemetryLog::from_jsonl(&deep)
+            .unwrap_err()
+            .contains("telemetry line 2"));
+        // Narrow fields are range-checked, never truncated.
+        let wide_seed = "{\"type\":\"pulse\",\"v\":1,\"threads\":1}\n\
+             {\"type\":\"unit_started\",\"app\":\"a\",\"seed\":4294967296}\n";
+        assert!(TelemetryLog::from_jsonl(wide_seed)
+            .unwrap_err()
+            .contains("does not fit u32"));
     }
 }

@@ -27,10 +27,9 @@
 //! fire.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
+use crate::json::{jsonl, Json, JsonlReader};
 use crate::pulse::{PulseEvent, WorkerState};
-use crate::sink::{parse_flat_object, push_json_str, FlatValue};
 
 /// Version stamped into (and required from) the anomaly digest header.
 pub const ANOMALY_SCHEMA_VERSION: u64 = 1;
@@ -271,98 +270,62 @@ impl Watchdog {
     }
 }
 
+/// One anomaly as a `{"type":"anomaly",...}` record (the digest's and
+/// the flight dump's line format).
+pub(crate) fn anomaly_json(a: &AnomalyReport) -> Json {
+    Json::obj()
+        .field("type", "anomaly")
+        .field("kind", a.kind.as_str())
+        .field("subject", a.subject.as_str())
+        .field("detail", a.detail.as_str())
+        .field("value", a.value)
+        .field("threshold", a.threshold)
+}
+
+/// Inverse of [`anomaly_json`].
+pub(crate) fn anomaly_from_json(obj: &Json) -> Result<AnomalyReport, String> {
+    if obj.req_str("type")? != "anomaly" {
+        return Err("expected an anomaly record".into());
+    }
+    let kind = obj.req_str("kind")?;
+    Ok(AnomalyReport {
+        kind: AnomalyKind::parse(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?,
+        subject: obj.req_str("subject")?.to_string(),
+        detail: obj.req_str("detail")?.to_string(),
+        value: obj.req_uint("value")?,
+        threshold: obj.req_uint("threshold")?,
+    })
+}
+
 /// Serialises anomalies to the schema-versioned JSONL digest.
 #[must_use]
 pub fn anomalies_to_jsonl(anomalies: &[AnomalyReport]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"anomalies\",\"v\":{ANOMALY_SCHEMA_VERSION},\"count\":{}}}",
-        anomalies.len()
-    );
-    for a in anomalies {
-        out.push_str("{\"type\":\"anomaly\",\"kind\":");
-        push_json_str(&mut out, a.kind.as_str());
-        out.push_str(",\"subject\":");
-        push_json_str(&mut out, &a.subject);
-        out.push_str(",\"detail\":");
-        push_json_str(&mut out, &a.detail);
-        let _ = writeln!(
-            out,
-            ",\"value\":{},\"threshold\":{}}}",
-            a.value, a.threshold
-        );
-    }
-    out
+    let header = Json::obj()
+        .field("type", "anomalies")
+        .field("v", ANOMALY_SCHEMA_VERSION)
+        .field("count", anomalies.len());
+    jsonl(std::iter::once(header).chain(anomalies.iter().map(anomaly_json)))
 }
 
 /// Parses a digest produced by [`anomalies_to_jsonl`]. Strict on the
 /// header version and the declared count.
 pub fn anomalies_from_jsonl(text: &str) -> Result<Vec<AnomalyReport>, String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let Some((_, header)) = lines.next() else {
-        return Err("anomalies: empty input (missing header line)".into());
-    };
-    let head = parse_flat_object(header).map_err(|e| format!("anomalies line 1: {e}"))?;
-    if head.get("type").and_then(FlatValue::as_str) != Some("anomalies") {
-        return Err("anomalies: first line must be the header {\"type\":\"anomalies\",...}".into());
-    }
-    match head.get("v").and_then(FlatValue::as_u64) {
-        Some(ANOMALY_SCHEMA_VERSION) => {}
-        Some(v) => {
-            return Err(format!(
-                "anomalies: unsupported schema version {v} (expected {ANOMALY_SCHEMA_VERSION})"
-            ))
-        }
-        None => return Err("anomalies: header missing integer field \"v\"".into()),
-    }
-    let declared = head.get("count").and_then(FlatValue::as_u64);
+    let mut reader = JsonlReader::new("anomalies", text);
+    let declared: Option<usize> = reader.header("anomalies", ANOMALY_SCHEMA_VERSION, |head| {
+        head.opt("count", Json::req_uint)
+    })?;
     let mut out = Vec::new();
-    for (idx, line) in lines {
-        let lineno = idx + 1;
-        let obj = parse_flat_object(line).map_err(|e| format!("anomalies line {lineno}: {e}"))?;
-        if obj.get("type").and_then(FlatValue::as_str) != Some("anomaly") {
-            return Err(format!(
-                "anomalies line {lineno}: expected an anomaly record"
-            ));
-        }
-        let kind_token = obj
-            .get("kind")
-            .and_then(FlatValue::as_str)
-            .ok_or_else(|| format!("anomalies line {lineno}: missing \"kind\""))?;
-        let kind = AnomalyKind::parse(kind_token)
-            .ok_or_else(|| format!("anomalies line {lineno}: unknown kind {kind_token:?}"))?;
-        let field = |key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(FlatValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("anomalies line {lineno}: missing string field {key:?}"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(FlatValue::as_u64)
-                .ok_or_else(|| format!("anomalies line {lineno}: missing integer field {key:?}"))
-        };
-        out.push(AnomalyReport {
-            kind,
-            subject: field("subject")?,
-            detail: field("detail")?,
-            value: num("value")?,
-            threshold: num("threshold")?,
-        });
+    reader.each(|obj| {
+        out.push(anomaly_from_json(obj)?);
+        Ok(())
+    })?;
+    match declared {
+        Some(n) if n != out.len() => Err(format!(
+            "anomalies: header declares {n} record(s) but {} parsed",
+            out.len()
+        )),
+        _ => Ok(out),
     }
-    if let Some(n) = declared {
-        if n as usize != out.len() {
-            return Err(format!(
-                "anomalies: header declares {n} record(s) but {} parsed",
-                out.len()
-            ));
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -515,6 +478,14 @@ mod tests {
         ];
         let text = anomalies_to_jsonl(&reports);
         assert_eq!(anomalies_from_jsonl(&text).unwrap(), reports);
+        // Wire bytes pinned to the format's first release.
+        let golden = r#"{"type":"anomalies","v":1,"count":2}
+{"type":"anomaly","kind":"slow_site","subject":"app/0/b0@7","detail":"site took 900ms against a campaign median of 12ms","value":900000000,"threshold":250000000}
+{"type":"anomaly","kind":"cache_pressure","subject":"cache","detail":"solver+snapshot caches hold 2048 bytes (ceiling 1024)","value":2048,"threshold":1024}
+"#;
+        assert_eq!(text, golden);
+        let back = anomalies_from_jsonl(golden).unwrap();
+        assert_eq!(anomalies_to_jsonl(&back), golden);
         assert_eq!(
             anomalies_from_jsonl(&anomalies_to_jsonl(&[])).unwrap(),
             vec![]

@@ -1,6 +1,6 @@
 //! The daemon's wire protocol: one flat-JSON request line per
 //! operation, one JSON response line back (plus a telemetry stream for
-//! `watch`). The codec is `diode-corpus`'s round-tripping [`Json`] —
+//! `watch`). The codec is `diode-obs`'s round-tripping [`Json`] —
 //! the same one every `BENCH_*` artifact uses — so `u64` payloads (RNG
 //! seeds, byte counters) survive exactly.
 //!
@@ -40,7 +40,7 @@
 use diode_obs::WatchdogConfig;
 use diode_synth::SynthConfig;
 
-pub use diode_corpus::{Json, JsonError};
+pub use diode_obs::{Json, JsonError};
 
 /// Version stamped into `status` responses; bump on wire changes.
 pub const PROTOCOL_VERSION: u64 = 2;

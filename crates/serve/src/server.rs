@@ -781,13 +781,11 @@ fn scrape(daemon: &Arc<Daemon>, ops: &Ops) -> diode_obs::MetricsSnapshot {
 
 /// The JSON metrics reply: the registry snapshot behind an `ok` line.
 fn metrics_json(daemon: &Arc<Daemon>, ops: &Ops) -> Json {
-    let snapshot = scrape(daemon, ops);
-    let metrics = Json::parse(&snapshot.to_json()).unwrap_or(Json::Null);
     Json::obj()
         .field("ok", true)
         .field("schema", METRICS_SCHEMA_VERSION)
         .field("uptime_ms", daemon.started.elapsed().as_secs_f64() * 1e3)
-        .field("metrics", metrics)
+        .field("metrics", scrape(daemon, ops).to_json())
 }
 
 /// Streams a job's telemetry to `out`: live via a fresh bus subscriber
