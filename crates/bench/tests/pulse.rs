@@ -139,6 +139,32 @@ fn slow_subscriber_drops_without_changing_the_campaign() {
 }
 
 #[test]
+fn campaign_end_wakes_a_long_heartbeat_sampler() {
+    // The sampler beats once at start, then parks for its interval; the
+    // campaign's end must wake it rather than wait out the 10 s.
+    let bus = Arc::new(PulseBus::new());
+    let sub = bus.subscribe(1 << 14);
+    let apps = forge(&SynthConfig::default().with_apps(1)).campaign_apps();
+    let mut spec = spec(apps, ExecutionMode::Parallel { threads: Some(2) });
+    let mut pulse = PulseConfig::new(bus);
+    pulse.heartbeat = Duration::from_secs(10);
+    spec.pulse = Some(pulse);
+    let start = std::time::Instant::now();
+    let _report = spec.run();
+    let wall = start.elapsed();
+    assert!(
+        wall < Duration::from_secs(5),
+        "campaign took {wall:?}: stop waited out the heartbeat interval"
+    );
+    let beats = sub
+        .drain()
+        .iter()
+        .filter(|e| matches!(e, PulseEvent::Heartbeat(_)))
+        .count();
+    assert!(beats >= 1, "the sampler must still publish a heartbeat");
+}
+
+#[test]
 fn planted_stall_raises_exactly_one_slow_site_anomaly() {
     // A healthy fast suite for the median, plus one single-site app
     // whose planted `site_work` loop dwarfs everything else (the fuel

@@ -715,7 +715,17 @@ impl PulseRun {
                     interp_peak_heap_bytes: peak_heap.load(Ordering::Relaxed),
                 }));
                 seq += 1;
-                std::thread::sleep(interval);
+                // Parked rather than slept, so `SamplerHandle::stop` wakes
+                // the sampler at once instead of waiting out the interval.
+                // The deadline loop absorbs spurious wake-ups.
+                let deadline = Instant::now() + interval;
+                while !stop_flag.load(Ordering::Relaxed) {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    std::thread::park_timeout(left);
+                }
             }
         });
         SamplerHandle { stop, handle }
@@ -729,9 +739,10 @@ struct SamplerHandle {
 }
 
 impl SamplerHandle {
-    /// Signals the sampler to stop and waits for its final beat.
+    /// Signals the sampler to stop, wakes it, and waits for it to exit.
     fn stop(self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.handle.thread().unpark();
         let _ = self.handle.join();
     }
 }

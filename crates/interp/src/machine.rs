@@ -370,10 +370,14 @@ enum Cont<'a> {
 
 /// One call frame: the executing procedure, the caller's destination for
 /// the return value, the local environment, and the control stack.
+///
+/// The environment is a dense slot vector indexed by `Symbol.0`: interner
+/// ids are program-wide and dense, so a frame holds one slot per interned
+/// symbol (`None` while unbound) and every read or write is an index.
 struct Frame<'a, T> {
     proc: ProcId,
     ret_dst: Option<Symbol>,
-    env: HashMap<Symbol, Value<T>>,
+    env: Vec<Option<Value<T>>>,
     control: Vec<Cont<'a>>,
 }
 
@@ -481,6 +485,23 @@ fn rebuild_frames<'a, T: Clone>(
         .collect()
 }
 
+/// A frame environment with every symbol of `program` unbound.
+fn empty_env<T>(program: &Program) -> Vec<Option<Value<T>>> {
+    std::iter::repeat_with(|| None)
+        .take(program.interner().len())
+        .collect()
+}
+
+/// Binds `sym` in `env`. A symbol outside the interner (a hand-assembled
+/// [`Program`]) grows the vector rather than panicking.
+fn bind_slot<T>(env: &mut Vec<Option<Value<T>>>, sym: Symbol, v: Value<T>) {
+    let i = sym.0 as usize;
+    if i >= env.len() {
+        env.resize_with(i + 1, || None);
+    }
+    env[i] = Some(v);
+}
+
 struct Machine<'a, S: Shadow> {
     program: &'a Program,
     input: &'a [u8],
@@ -515,7 +536,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
             vec![Frame {
                 proc: program.entry(),
                 ret_dst: None,
-                env: HashMap::new(),
+                env: empty_env(program),
                 control: vec![Cont::Block {
                     block: &entry.body,
                     idx: 0,
@@ -680,8 +701,9 @@ impl<'a, S: Shadow> Machine<'a, S> {
         self.frames.last_mut().expect("frame stack never empty")
     }
 
-    fn env(&mut self) -> &mut HashMap<Symbol, Value<S::Tag>> {
-        &mut self.top_frame().env
+    /// Binds `sym` in the current frame.
+    fn bind(&mut self, sym: Symbol, v: Value<S::Tag>) {
+        bind_slot(&mut self.top_frame().env, sym, v);
     }
 
     fn advance_idx(&mut self) {
@@ -699,7 +721,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
         let frame = self.frames.pop().expect("frame stack never empty");
         match (frame.ret_dst, value) {
             (Some(dst), Some(v)) => {
-                self.env().insert(dst, v);
+                self.bind(dst, v);
                 Ok(())
             }
             (Some(_), None) => Err(Halt::Runtime(format!(
@@ -732,7 +754,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
             Stmt::Skip(_) => Ok(()),
             Stmt::Assign(_, dst, e) => {
                 let v = self.eval(e)?;
-                self.env().insert(*dst, v);
+                self.bind(*dst, v);
                 Ok(())
             }
             Stmt::Call {
@@ -750,10 +772,10 @@ impl<'a, S: Shadow> Machine<'a, S> {
                         args.len()
                     )));
                 }
-                let mut env = HashMap::new();
+                let mut env = empty_env(self.program);
                 for (param, arg) in callee.params.iter().zip(args) {
                     let v = self.eval(arg)?;
-                    env.insert(*param, v);
+                    bind_slot(&mut env, *param, v);
                 }
                 self.frames.push(Frame {
                     proc: *proc,
@@ -797,14 +819,14 @@ impl<'a, S: Shadow> Machine<'a, S> {
                 });
                 match block {
                     Some(b) => {
-                        self.env().insert(*dst, Value::ptr(b));
+                        self.bind(*dst, Value::ptr(b));
                         Ok(())
                     }
                     None if *abort_on_fail => Err(Halt::Aborted(format!(
                         "allocation of {size32} bytes failed at {site}"
                     ))),
                     None => {
-                        self.env().insert(*dst, Value::ptr(BlockId::NULL));
+                        self.bind(*dst, Value::ptr(BlockId::NULL));
                         Ok(())
                     }
                 }
@@ -841,7 +863,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
                     .heap
                     .load(b, off.value() as u64, *label)
                     .map_err(Halt::Fault)?;
-                self.env().insert(
+                self.bind(
                     *dst,
                     Value {
                         raw: Raw::Int(cell.value),
@@ -966,7 +988,8 @@ impl<'a, S: Shadow> Machine<'a, S> {
     }
 
     fn lookup(&mut self, sym: Symbol) -> Result<Value<S::Tag>, Halt> {
-        match self.frames.last().expect("frame").env.get(&sym) {
+        let env = &self.frames.last().expect("frame").env;
+        match env.get(sym.0 as usize).and_then(Option::as_ref) {
             Some(v) => Ok(v.clone()),
             None => Err(Halt::Runtime(format!(
                 "use of unbound variable `{}`",
@@ -1491,6 +1514,54 @@ mod tests {
         assert!(matches!(r.outcome, Outcome::RuntimeError(_)));
     }
 
+    #[test]
+    fn callee_cannot_read_caller_bindings() {
+        let r = run_concrete("fn f() { return x; } fn main() { x = 1; y = f(); }", &[]);
+        assert!(
+            matches!(&r.outcome, Outcome::RuntimeError(m) if m.contains("unbound")),
+            "{:?}",
+            r.outcome
+        );
+    }
+
+    #[test]
+    fn callee_locals_vanish_on_return() {
+        let r = run_concrete(
+            "fn f(p) { t = p + 1; return t; } fn main() { y = f(1); z = t; }",
+            &[],
+        );
+        assert!(
+            matches!(&r.outcome, Outcome::RuntimeError(m) if m.contains("unbound variable `t`")),
+            "{:?}",
+            r.outcome
+        );
+        let r = run_concrete("fn f(p) { return p; } fn main() { y = f(7); z = p; }", &[]);
+        assert!(
+            matches!(&r.outcome, Outcome::RuntimeError(m) if m.contains("unbound variable `p`")),
+            "{:?}",
+            r.outcome
+        );
+    }
+
+    #[test]
+    fn recursion_past_call_depth_limit_is_reported() {
+        let cfg = MachineConfig {
+            max_call_depth: 16,
+            ..MachineConfig::default()
+        };
+        let r = run(
+            &parse("fn f(n) { m = f(n + 1); return m; } fn main() { x = f(0); }").unwrap(),
+            &[],
+            Concrete,
+            &cfg,
+        );
+        assert!(
+            matches!(&r.outcome, Outcome::RuntimeError(m) if m.contains("call depth limit exceeded")),
+            "{:?}",
+            r.outcome
+        );
+    }
+
     /// Byte-identity oracle for snapshot tests: the full Debug rendering
     /// covers outcome, memory errors, allocations (values, overflow
     /// flags, tags), branch observations, warnings, and step counts.
@@ -1557,6 +1628,23 @@ mod tests {
             assert_eq!(image(&resumed), image(&scratch), "input {cand:02x?}");
             assert_eq!(resumed.steps, scratch.steps);
         }
+    }
+
+    #[test]
+    fn snapshot_bytes_charge_bound_slots_only() {
+        let p = parse(SNAP_SRC).unwrap();
+        let seed = [0, 8, 0, 4];
+        let cfg = MachineConfig::default();
+        let (_, probe) = run_probed(&p, &seed, Concrete, &cfg, &[2, 3]);
+        let (_, snap) = run_and_capture(&p, &seed, Concrete, &cfg, probe.unwrap());
+        let snap = snap.unwrap();
+        // Frames `main` (a, i, scratch bound) and `be16` (p bound). Each
+        // frame has a slot for every interned symbol, but the estimate
+        // charges only bound ones, so it equals the figure the former
+        // map-backed frames gave.
+        assert_eq!(snap.frames.len(), 2);
+        assert!(snap.frames[0].env.len() > 3);
+        assert_eq!(snap.approx_bytes(), 3780);
     }
 
     #[test]

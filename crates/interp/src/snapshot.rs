@@ -72,8 +72,9 @@ pub(crate) struct FrameImage<T> {
     pub proc: ProcId,
     /// Where the caller stores the frame's return value.
     pub ret_dst: Option<Symbol>,
-    /// The local environment.
-    pub env: HashMap<Symbol, Value<T>>,
+    /// The local environment: one slot per interned symbol, indexed by
+    /// `Symbol.0`, `None` where the variable is unbound.
+    pub env: Vec<Option<Value<T>>>,
     /// The control stack, outermost first.
     pub control: Vec<ContImage>,
 }
@@ -167,7 +168,10 @@ impl<S: Shadow> Snapshot<S> {
         let frames: u64 = self
             .frames
             .iter()
-            .map(|f| 64 + 48 * (f.env.len() as u64) + 16 * (f.control.len() as u64))
+            .map(|f| {
+                let bound = f.env.iter().filter(|slot| slot.is_some()).count() as u64;
+                64 + 48 * bound + 16 * (f.control.len() as u64)
+            })
             .sum();
         self.heap.current_bytes()
             + frames

@@ -143,10 +143,7 @@ pub fn parse_request(line: &str) -> Result<Request, Json> {
             Ok(Request::Submit {
                 source,
                 wait: obj.get("wait").and_then(Json::as_bool).unwrap_or(false),
-                threads: obj
-                    .get("threads")
-                    .and_then(Json::as_u64)
-                    .map(|t| (t as usize).max(1)),
+                threads: opt_uint::<usize>(&obj, "threads", "")?.map(|t| t.max(1)),
                 watchdog: match obj.get("watchdog") {
                     None => None,
                     Some(v) => parse_watchdog(v)?,
@@ -170,10 +167,7 @@ pub fn parse_request(line: &str) -> Result<Request, Json> {
         "watch" => match obj.get("job").and_then(Json::as_str) {
             Some(job) => Ok(Request::Watch {
                 job: job.to_string(),
-                ring: obj
-                    .get("ring")
-                    .and_then(Json::as_u64)
-                    .map_or(DEFAULT_WATCH_RING, |r| (r as usize).max(2)),
+                ring: opt_uint::<usize>(&obj, "ring", "")?.map_or(DEFAULT_WATCH_RING, |r| r.max(2)),
             }),
             None => Err(reject(400, "bad_request", "watch needs a \"job\" id")),
         },
@@ -205,10 +199,7 @@ fn parse_watchdog(v: &Json) -> Result<Option<WatchdogConfig>, Json> {
                         cfg.slow_site_floor_ns = ms.saturating_mul(1_000_000);
                     }
                     "min_sites" => {
-                        cfg.min_sites_for_median = value
-                            .as_u64()
-                            .ok_or_else(|| bad("watchdog.min_sites must be an integer"))?
-                            as usize;
+                        cfg.min_sites_for_median = uint(value, "watchdog.min_sites")?;
                     }
                     "idle_heartbeats" => {
                         // 0 disables the detector (a streak can never
@@ -246,44 +237,51 @@ fn parse_watchdog(v: &Json) -> Result<Option<WatchdogConfig>, Json> {
 /// to [`SynthConfig::default`] — the same knobs `synth_campaign`
 /// exposes as flags, plus the `stall_work` plant).
 fn parse_spec(spec: &Json) -> Result<(SynthConfig, u32), Json> {
-    let num = |key: &str| -> Result<Option<u64>, Json> {
-        match spec.get(key) {
-            None => Ok(None),
-            Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-                reject(
-                    400,
-                    "bad_request",
-                    &format!("spec field {key:?} must be a non-negative integer"),
-                )
-            }),
-        }
-    };
     let mut cfg = SynthConfig::default();
-    if let Some(apps) = num("apps")? {
+    if let Some(apps) = opt_uint::<usize>(spec, "apps", "spec.")? {
         if apps == 0 {
             return Err(reject(400, "bad_request", "spec.apps must be at least 1"));
         }
-        cfg.apps = apps as usize;
+        cfg.apps = apps;
     }
-    if let Some(depth) = num("depth")? {
-        cfg.branch_depth = depth as usize;
+    if let Some(depth) = opt_uint(spec, "depth", "spec.")? {
+        cfg.branch_depth = depth;
     }
-    if let Some(sites) = num("sites")? {
-        let sites = (sites as usize).max(1);
+    if let Some(sites) = opt_uint::<usize>(spec, "sites", "spec.")? {
+        let sites = sites.max(1);
         cfg.min_sites = sites;
         cfg.max_sites = sites;
     }
-    if let Some(k) = num("seeds_per_app")? {
-        cfg.seeds_per_app = (k as usize).max(1);
+    if let Some(k) = opt_uint::<usize>(spec, "seeds_per_app", "spec.")? {
+        cfg.seeds_per_app = k.max(1);
     }
-    if let Some(w) = num("site_work")? {
-        cfg.site_work = w as u32;
+    if let Some(w) = opt_uint(spec, "site_work", "spec.")? {
+        cfg.site_work = w;
     }
-    if let Some(seed) = num("rng_seed")? {
+    if let Some(seed) = opt_uint(spec, "rng_seed", "spec.")? {
         cfg.rng_seed = seed;
     }
-    let stall_work = num("stall_work")?.unwrap_or(0) as u32;
+    let stall_work = opt_uint(spec, "stall_work", "spec.")?.unwrap_or(0);
     Ok((cfg, stall_work))
+}
+
+/// Optional unsigned member `key` of `obj`, read with [`uint`] under the
+/// name `{path}{key}`.
+fn opt_uint<T: TryFrom<u64>>(obj: &Json, key: &str, path: &str) -> Result<Option<T>, Json> {
+    obj.get(key)
+        .map(|v| uint(v, &format!("{path}{key}")))
+        .transpose()
+}
+
+/// An untrusted wire number range-checked into `T`. A value that is not
+/// a non-negative integer, or does not fit `T`, is a `400 bad_request`
+/// naming the field — never a silent truncation.
+fn uint<T: TryFrom<u64>>(v: &Json, name: &str) -> Result<T, Json> {
+    let bad = |why: String| reject(400, "bad_request", &format!("{name} {why}"));
+    let n = v
+        .as_u64()
+        .ok_or_else(|| bad("must be a non-negative integer".into()))?;
+    T::try_from(n).map_err(|_| bad(format!("= {n} does not fit {}", std::any::type_name::<T>())))
 }
 
 /// Serialises a forge spec for the wire (only the protocol-visible
@@ -433,6 +431,112 @@ mod tests {
             parse_request(r#"{"op":"health"}"#).unwrap(),
             Request::Health
         );
+    }
+
+    /// Rejects `line` with a 400 whose detail names `field`.
+    fn assert_rejects_field(line: &str, field: &str) {
+        let err = parse_request(line).unwrap_err();
+        assert_eq!(err.get("code").and_then(Json::as_u64), Some(400), "{line}");
+        assert_eq!(
+            err.get("error").and_then(Json::as_str),
+            Some("bad_request"),
+            "{line}"
+        );
+        let detail = err.get("detail").and_then(Json::as_str).unwrap();
+        assert!(detail.contains(field), "{line}: {detail}");
+    }
+
+    /// 2^32 + 1: truncated to 1 by an `as u32` cast.
+    const PAST_U32: &str = "4294967297";
+    /// 2^64: past `u64`, so past `usize` on every target.
+    const PAST_U64: &str = "18446744073709551616";
+
+    #[test]
+    fn site_work_out_of_range_is_rejected() {
+        assert_rejects_field(
+            &format!(r#"{{"op":"submit","spec":{{"site_work":{PAST_U32}}}}}"#),
+            "spec.site_work",
+        );
+    }
+
+    #[test]
+    fn stall_work_out_of_range_is_rejected() {
+        assert_rejects_field(
+            &format!(r#"{{"op":"submit","spec":{{"stall_work":{PAST_U32}}}}}"#),
+            "spec.stall_work",
+        );
+    }
+
+    #[test]
+    fn apps_out_of_range_is_rejected() {
+        assert_rejects_field(
+            &format!(r#"{{"op":"submit","spec":{{"apps":{PAST_U64}}}}}"#),
+            "spec.apps",
+        );
+    }
+
+    #[test]
+    fn depth_out_of_range_is_rejected() {
+        assert_rejects_field(
+            &format!(r#"{{"op":"submit","spec":{{"depth":{PAST_U64}}}}}"#),
+            "spec.depth",
+        );
+    }
+
+    #[test]
+    fn sites_out_of_range_is_rejected() {
+        assert_rejects_field(
+            &format!(r#"{{"op":"submit","spec":{{"sites":{PAST_U64}}}}}"#),
+            "spec.sites",
+        );
+    }
+
+    #[test]
+    fn seeds_per_app_out_of_range_is_rejected() {
+        assert_rejects_field(
+            &format!(r#"{{"op":"submit","spec":{{"seeds_per_app":{PAST_U64}}}}}"#),
+            "spec.seeds_per_app",
+        );
+    }
+
+    #[test]
+    fn threads_out_of_range_is_rejected() {
+        // Formerly ignored (the job silently ran at the default).
+        assert_rejects_field(
+            &format!(r#"{{"op":"submit","spec":{{}},"threads":{PAST_U64}}}"#),
+            "threads",
+        );
+    }
+
+    #[test]
+    fn ring_out_of_range_is_rejected() {
+        // Formerly ignored (the watch silently used the default ring).
+        assert_rejects_field(
+            &format!(r#"{{"op":"watch","job":"job-1","ring":{PAST_U64}}}"#),
+            "ring",
+        );
+    }
+
+    #[test]
+    fn watchdog_min_sites_out_of_range_is_rejected() {
+        assert_rejects_field(
+            &format!(r#"{{"op":"submit","spec":{{}},"watchdog":{{"min_sites":{PAST_U64}}}}}"#),
+            "watchdog.min_sites",
+        );
+    }
+
+    #[test]
+    fn u32_fields_accept_their_maximum() {
+        let line = r#"{"op":"submit","spec":{"site_work":4294967295,"stall_work":4294967295}}"#;
+        let Request::Submit {
+            source: JobSource::Forge { cfg, stall_work },
+            ..
+        } = parse_request(line).unwrap()
+        else {
+            panic!("expected a forge submit");
+        };
+        assert_eq!(cfg.site_work, u32::MAX);
+        assert_eq!(stall_work, u32::MAX);
     }
 
     #[test]
