@@ -67,8 +67,8 @@ use diode_engine::{
     CampaignEvent, CampaignReport, CampaignSpec, ExecutionMode, ProgressSink, PulseConfig, Recorder,
 };
 use diode_obs::{
-    anomalies_to_jsonl, AnomalyReport, Json, JsonlFileSink, ProfileReport, PulseBus, PulseEvent,
-    TelemetryLog, Trace, TraceSink, Watchdog, WatchdogConfig,
+    anomalies_to_jsonl, AnomalyReport, Json, ProfileReport, PulseBus, PulseEvent, TelemetryLog,
+    Trace, Watchdog, WatchdogConfig,
 };
 use diode_synth::{forge, score, ForgedSuite, ScoreCard, SynthConfig};
 
@@ -556,8 +556,8 @@ fn stamped_trace(recorder: &Recorder, report: &CampaignReport) -> Trace {
 }
 
 fn write_trace(path: &str, trace: &Trace) {
-    if let Err(e) = JsonlFileSink::new(path).emit(trace) {
-        eprintln!("synth_campaign: {e}");
+    if let Err(e) = std::fs::write(path, trace.to_jsonl()) {
+        eprintln!("synth_campaign: trace: cannot write {path}: {e}");
         std::process::exit(2);
     }
 }

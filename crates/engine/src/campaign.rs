@@ -138,9 +138,9 @@ pub struct CampaignSpec {
     /// constraint (a guaranteed cache hit when caching is on) and re-run
     /// the triggering input, recording the result per site.
     pub verify_exposed: bool,
-    /// Structured-tracing recorder (`diode-obs`). When set and enabled,
-    /// every job runs under a recording scope: phase spans, solver
-    /// cache attribution, and scheduler queue-wait metrics land in the
+    /// Structured-tracing recorder (`diode-obs`). When set, every job
+    /// runs under a recording scope: phase spans, solver cache
+    /// attribution, and scheduler queue-wait metrics land in the
     /// recorder, and the report gains a [`PhaseBreakdown`]. Tracing is
     /// passive — outcomes are byte-identical with it on or off.
     pub recorder: Option<Arc<Recorder>>,
@@ -231,7 +231,7 @@ impl CampaignSpec {
         let (config, cache) = self.effective_config();
         let snapshots = self.effective_snapshots(&config);
         let keys = UnitKeys::new(self);
-        let recorder = self.recorder.as_ref().filter(|r| r.is_enabled());
+        let recorder = self.recorder.as_ref();
         let pulse = self
             .pulse
             .as_ref()

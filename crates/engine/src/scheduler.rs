@@ -171,7 +171,7 @@ where
         injector: Mutex::new(initial.into()),
         deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
     };
-    let recorder = recorder.filter(|r| r.is_enabled()).map(Arc::as_ref);
+    let recorder = recorder.map(Arc::as_ref);
     let results: Mutex<Vec<R>> = Mutex::new(Vec::with_capacity(total_hint));
     if threads == 1 {
         // Degenerate single-worker pool: run inline, no thread spawn.

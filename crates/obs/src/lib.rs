@@ -6,19 +6,18 @@
 //!
 //! The model: the campaign driver creates one [`Recorder`] per run and
 //! installs a [`job_scope`] on the worker thread for each job. Inside a
-//! scope, [`span`] guards time individual phases and [`count`] /
-//! [`observe_ns`] accumulate metrics — all into a thread-local buffer,
-//! so recording takes no locks while a job runs. Buffers flush into the
+//! scope, [`span`] guards time individual phases and [`count`]
+//! accumulates counters — all into a thread-local buffer, so recording
+//! takes no locks while a job runs. Buffers flush into the
 //! recorder when the scope drops, and [`Recorder::trace`] merges them
 //! deterministically: span identity is `(app, seed, site, phase, seq,
 //! parent)` with a dense per-job sequence number, so the merged span set
 //! is identical across thread counts (timestamps aside).
 //!
 //! Traces serialise to a versioned JSONL format ([`Trace::to_jsonl`],
-//! round-trip tested) through [`TraceSink`] implementations, and fold
-//! into per-phase/per-site breakdowns ([`PhaseBreakdown`],
-//! [`ProfileReport`]) or collapsed stacks ([`collapsed_stacks`]) for
-//! flamegraph tooling.
+//! round-trip tested) and fold into per-phase/per-site breakdowns
+//! ([`PhaseBreakdown`], [`ProfileReport`]) or collapsed stacks
+//! ([`collapsed_stacks`]) for flamegraph tooling.
 //!
 //! Every artifact the workspace writes — traces, telemetry, flight
 //! dumps, anomaly digests, provenance records, profiles, metrics, and
@@ -43,9 +42,9 @@
 //! assert!(breakdown.phase(Phase::Enforce).is_some());
 //! ```
 //!
-//! When instrumentation is off (`Recorder::disabled()` or no recorder at
-//! all), `job_scope` installs nothing and every `span`/`count` call is a
-//! thread-local read and a branch — cheap enough to leave in hot paths.
+//! When instrumentation is off (no recorder), `job_scope` installs
+//! nothing and every `span`/`count` call is a thread-local read and a
+//! branch — cheap enough to leave in hot paths.
 
 #![warn(missing_docs)]
 
@@ -71,21 +70,20 @@ pub use gauge::ByteGauge;
 pub use json::{Json, JsonError};
 pub use metrics::{Hist, HistSummary};
 pub use ops::{
-    parse_prometheus, Counter, Gauge, Histogram, MetricKey, MetricSample, MetricValue,
-    MetricsRegistry, MetricsSnapshot, PromSample, METRICS_SCHEMA_VERSION,
+    parse_prometheus, Counter, Histogram, MetricKey, MetricSample, MetricValue, MetricsRegistry,
+    MetricsSnapshot, PromSample, METRICS_SCHEMA_VERSION,
 };
 pub use profile::{
     collapsed_stacks, profile_from_json, PhaseBreakdown, PhaseDelta, PhaseRow, ProfileDiff,
     ProfileReport, SiteDelta, SiteRow,
 };
 pub use pulse::{
-    HeartbeatSample, PulseBus, PulseEvent, PulseRing, SchedGauges, Subscriber, WorkerState,
-    WorkerStateTable,
+    HeartbeatSample, PulseBus, PulseEvent, SchedGauges, Subscriber, WorkerState, WorkerStateTable,
 };
-pub use sink::{JsonlFileSink, NullSink, RingSink, TraceError, TraceSink, TRACE_SCHEMA_VERSION};
+pub use sink::{TraceError, TRACE_SCHEMA_VERSION};
 pub use span::{
-    audit_active, audit_event, count, job_scope, observe_ns, span, JobScope, Phase, Recorder, Span,
-    SpanGuard, Trace,
+    audit_active, audit_event, count, job_scope, span, JobScope, Phase, Recorder, Span, SpanGuard,
+    Trace,
 };
 pub use telemetry::{
     pulse_event_lines, telemetry_header, TelemetryLog, TelemetryStream, TELEMETRY_SCHEMA_VERSION,

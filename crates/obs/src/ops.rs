@@ -5,9 +5,11 @@
 //! once (a brief registry lock), then the hot path is an atomic add
 //! ([`Counter::inc`]) or a short mutex around a fixed-size [`Hist`]
 //! ([`Histogram::observe`]) — no allocation, no formatting, nothing a
-//! campaign could observe. Scrapes ([`MetricsRegistry::snapshot`]) copy
-//! the current values into a [`MetricsSnapshot`], which renders to
-//! either exposition:
+//! campaign could observe. Gauges are point-in-time values the scraper
+//! stores under the registry lock ([`MetricsRegistry::set_gauge`]) just
+//! before a scrape. Scrapes ([`MetricsRegistry::snapshot`]) copy the
+//! current values into a [`MetricsSnapshot`], which renders to either
+//! exposition:
 //!
 //! * [`MetricsSnapshot::to_json`] — one JSON object per metric kind,
 //!   in the [`Json`](crate::Json) codec every other diode artifact uses.
@@ -93,33 +95,6 @@ impl Counter {
     }
 }
 
-/// A point-in-time gauge handle (stores `f64` bits atomically).
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    bits: Arc<AtomicU64>,
-}
-
-impl Default for Gauge {
-    fn default() -> Gauge {
-        Gauge {
-            bits: Arc::new(AtomicU64::new(0f64.to_bits())),
-        }
-    }
-}
-
-impl Gauge {
-    /// Set the current value.
-    pub fn set(&self, value: f64) {
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
 /// A histogram handle over a log2-bucketed [`Hist`].
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
@@ -142,7 +117,7 @@ impl Histogram {
 
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
+    Gauge(f64),
     Histogram(Histogram),
 }
 
@@ -156,8 +131,9 @@ impl Metric {
     }
 }
 
-/// The service-level metric registry: register-or-get handles by
-/// `(name, labels)`, snapshot on scrape.
+/// The service-level metric registry: register-or-get counter and
+/// histogram handles, set gauges, by `(name, labels)`; snapshot on
+/// scrape.
 #[derive(Default)]
 pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<MetricKey, Metric>>,
@@ -171,14 +147,16 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn register<T: Clone>(
+    /// Finds the metric under `(name, labels)`, creating it with
+    /// `fresh` on first use, and applies `access`. Panics when the
+    /// metric exists as a different kind (`access` returns `None`).
+    fn with_metric<T>(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
-        wrap: impl Fn(T) -> Metric,
-        unwrap: impl Fn(&Metric) -> Option<T>,
-        fresh: impl Fn() -> T,
+        fresh: impl FnOnce() -> Metric,
+        access: impl FnOnce(&mut Metric) -> Option<T>,
     ) -> T {
         assert!(valid_metric_name(name), "invalid metric name {name:?}");
         for (k, _) in labels {
@@ -191,66 +169,61 @@ impl MetricsRegistry {
                 .entry(name.to_string())
                 .or_insert_with(|| help.to_string());
         }
-        let key = MetricKey::new(name, labels);
         let mut metrics = self.metrics.lock().expect("registry lock poisoned");
-        match metrics.get(&key) {
-            Some(existing) => unwrap(existing).unwrap_or_else(|| {
-                panic!(
-                    "metric {:?} re-registered as a different kind (was {})",
-                    key.selector(),
-                    existing.kind()
-                )
-            }),
-            None => {
-                let handle = fresh();
-                metrics.insert(key, wrap(handle.clone()));
-                handle
-            }
-        }
+        let metric = metrics
+            .entry(MetricKey::new(name, labels))
+            .or_insert_with(fresh);
+        let kind = metric.kind();
+        access(metric).unwrap_or_else(|| {
+            panic!(
+                "metric {:?} re-registered as a different kind (was {kind})",
+                MetricKey::new(name, labels).selector()
+            )
+        })
     }
 
     /// Register-or-get a counter.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        self.register(
+        self.with_metric(
             name,
             help,
             labels,
-            Metric::Counter,
+            || Metric::Counter(Counter::default()),
             |m| match m {
                 Metric::Counter(c) => Some(c.clone()),
                 _ => None,
             },
-            Counter::default,
         )
     }
 
-    /// Register-or-get a gauge.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.register(
+    /// Register a gauge if needed and set its current value.
+    pub fn set_gauge(&self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
+        self.with_metric(
             name,
             help,
             labels,
-            Metric::Gauge,
+            || Metric::Gauge(0.0),
             |m| match m {
-                Metric::Gauge(g) => Some(g.clone()),
+                Metric::Gauge(v) => {
+                    *v = value;
+                    Some(())
+                }
                 _ => None,
             },
-            Gauge::default,
-        )
+        );
     }
 
     /// Register-or-get a histogram.
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.register(
+        self.with_metric(
             name,
             help,
             labels,
-            Metric::Histogram,
+            || Metric::Histogram(Histogram::default()),
             |m| match m {
                 Metric::Histogram(h) => Some(h.clone()),
                 _ => None,
             },
-            Histogram::default,
         )
     }
 
@@ -265,7 +238,7 @@ impl MetricsRegistry {
                 key: key.clone(),
                 value: match metric {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
+                    Metric::Gauge(v) => MetricValue::Gauge(*v),
                     Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
                 },
             })
@@ -582,8 +555,7 @@ mod tests {
         c.inc();
         reg.counter("jobs_total", "", &[("code", "429")]).add(2);
         assert_eq!(c.get(), 3, "same (name, labels) shares one cell");
-        let g = reg.gauge("depth", "queue depth", &[]);
-        g.set(4.5);
+        reg.set_gauge("depth", "queue depth", &[], 4.5);
         let h = reg.histogram("wait_ns", "admission wait", &[]);
         h.observe(7);
         h.observe(100);
@@ -604,7 +576,7 @@ mod tests {
     fn kind_mismatch_panics() {
         let reg = MetricsRegistry::new();
         reg.counter("x_total", "", &[]);
-        reg.gauge("x_total", "", &[]);
+        reg.set_gauge("x_total", "", &[], 0.0);
     }
 
     #[test]
@@ -620,7 +592,7 @@ mod tests {
             .add(7);
         reg.counter("diode_jobs_total", "", &[("code", "4\"2\\9\n")])
             .inc();
-        reg.gauge("diode_uptime_seconds", "uptime", &[]).set(12.25);
+        reg.set_gauge("diode_uptime_seconds", "uptime", &[], 12.25);
         let h = reg.histogram("diode_wait_ns", "admission wait", &[("queue", "0")]);
         for v in [1u64, 2, 3, 900, 7000] {
             h.observe(v);
@@ -703,7 +675,7 @@ mod tests {
     fn json_exposition_carries_all_kinds() {
         let reg = MetricsRegistry::new();
         reg.counter("c_total", "", &[("k", "v")]).add(2);
-        reg.gauge("g", "", &[]).set(0.5);
+        reg.set_gauge("g", "", &[], 0.5);
         reg.histogram("h_ns", "", &[]).observe(9);
         let json = reg.snapshot().to_json().to_string();
         assert!(json.starts_with("{\"schema\":1,"));
@@ -716,7 +688,7 @@ mod tests {
         assert_eq!(Json::parse(golden).unwrap().to_string(), golden);
         // A non-finite gauge renders as null, so the exposition parses.
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            reg.gauge("g", "", &[]).set(v);
+            reg.set_gauge("g", "", &[], v);
             let text = reg.snapshot().to_json().to_string();
             let doc = Json::parse(&text).expect("non-finite gauge exposition parses");
             assert_eq!(

@@ -3,18 +3,13 @@
 //!
 //! The engine publishes [`PulseEvent`]s — unit/site progress mirrored
 //! from the `CampaignEvent` stream plus periodic [`HeartbeatSample`]s —
-//! into a [`PulseBus`]. Each subscriber owns a bounded ring
-//! ([`PulseRing`]): publishing is a claim-slot/write/release sequence
-//! on atomic sequence numbers (Vyukov-style bounded queue), and a full
-//! ring **drops the event and counts the drop** instead of blocking the
-//! publisher. A slow subscriber therefore costs the campaign nothing
-//! but its own completeness, which it can observe through
-//! [`Subscriber::dropped`].
-//!
-//! Slot payloads sit behind per-slot mutexes, but the sequence protocol
-//! guarantees each slot has exactly one owner between claim and
-//! release, so those locks are uncontended single-CAS acquisitions via
-//! `try_lock` — no publisher or consumer ever waits on one.
+//! into a [`PulseBus`]. Each subscriber owns a std bounded channel
+//! ([`std::sync::mpsc::sync_channel`]); publishing is a `try_send`, and
+//! a full channel **drops the event and counts the drop** instead of
+//! blocking the publisher. A slow subscriber therefore costs the
+//! campaign nothing but its own completeness, which it can observe
+//! through [`Subscriber::dropped`]. Dropping a [`Subscriber`] removes
+//! its sender from the bus, which frees the channel's buffer.
 //!
 //! The module also hosts the two shared-state tables the heartbeat
 //! sampler reads: [`WorkerStateTable`] (what each worker is doing right
@@ -23,7 +18,8 @@
 //! enabled; with no bus configured the engine never touches them.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, Weak};
 
 /// What one worker is doing, as sampled into a heartbeat.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -155,168 +151,63 @@ impl PulseEvent {
     }
 }
 
-/// One slot of a [`PulseRing`]. `seq` carries the Vyukov handshake;
-/// the payload mutex is only ever touched by the slot's current owner.
-struct Slot {
-    seq: AtomicU64,
-    value: Mutex<Option<PulseEvent>>,
+/// The bus's sending end for one subscriber.
+struct Outlet {
+    events: SyncSender<PulseEvent>,
+    dropped: Arc<AtomicU64>,
 }
 
-/// A bounded ring buffer with drop-counting, non-blocking publish.
-///
-/// Multi-producer (any worker plus the sampler thread may publish),
-/// single logical consumer (the subscriber), though the protocol is
-/// safe for concurrent consumers too.
-pub struct PulseRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    enqueue_pos: AtomicU64,
-    dequeue_pos: AtomicU64,
-    dropped: AtomicU64,
+type Outlets = Mutex<Vec<Outlet>>;
+
+/// A subscriber's receiving end of the bus: its own bounded channel.
+/// Dropping it unregisters it from the bus.
+pub struct Subscriber {
+    events: Receiver<PulseEvent>,
+    dropped: Arc<AtomicU64>,
+    bus: Weak<Outlets>,
 }
 
-impl PulseRing {
-    /// A ring holding at most `capacity` events (rounded up to a power
-    /// of two, minimum 2).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> PulseRing {
-        let cap = capacity.max(2).next_power_of_two() as u64;
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicU64::new(i),
-                value: Mutex::new(None),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        PulseRing {
-            slots,
-            mask: cap - 1,
-            enqueue_pos: AtomicU64::new(0),
-            dequeue_pos: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
+impl Subscriber {
+    /// The oldest undelivered event, if any. Never blocks.
+    pub fn try_recv(&self) -> Option<PulseEvent> {
+        self.events.try_recv().ok()
     }
 
-    /// Number of slots.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+    /// Every currently buffered event, oldest first.
+    pub fn drain(&self) -> Vec<PulseEvent> {
+        self.events.try_iter().collect()
     }
 
-    /// Publishes `event`; returns `false` (and counts a drop) when the
-    /// ring is full. Never blocks.
-    pub fn try_push(&self, event: PulseEvent) -> bool {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // We own the slot until the seq release below;
-                        // try_lock can only see an uncontended mutex.
-                        if let Ok(mut value) = slot.value.try_lock() {
-                            *value = Some(event);
-                        }
-                        slot.seq.store(pos + 1, Ordering::Release);
-                        return true;
-                    }
-                    Err(seen) => pos = seen,
-                }
-            } else if seq < pos {
-                // The slot still holds an unconsumed event from the
-                // previous lap: the ring is full.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Takes the oldest event, or `None` when the ring is empty.
-    pub fn try_pop(&self) -> Option<PulseEvent> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos + 1 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let event = slot.value.try_lock().ok().and_then(|mut v| v.take());
-                        slot.seq.store(pos + self.mask + 1, Ordering::Release);
-                        return event;
-                    }
-                    Err(seen) => pos = seen,
-                }
-            } else if seq <= pos {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Events discarded because the ring was full.
+    /// Events this subscriber lost to backpressure so far.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 }
 
-/// A subscriber's receiving end of the bus: a handle on its own ring.
-pub struct Subscriber {
-    ring: Arc<PulseRing>,
-}
-
-impl Subscriber {
-    /// The oldest undelivered event, if any. Never blocks.
-    pub fn try_recv(&self) -> Option<PulseEvent> {
-        self.ring.try_pop()
-    }
-
-    /// Every currently buffered event, oldest first.
-    pub fn drain(&self) -> Vec<PulseEvent> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.ring.try_pop() {
-            out.push(ev);
+impl Drop for Subscriber {
+    fn drop(&mut self) {
+        // Without this, a bus that publishes nothing more (a finished
+        // job) would keep the sender, and with it the whole buffer.
+        if let Some(outlets) = self.bus.upgrade() {
+            outlets
+                .lock()
+                .expect("pulse bus lock poisoned")
+                .retain(|o| !Arc::ptr_eq(&o.dropped, &self.dropped));
         }
-        out
-    }
-
-    /// Events this subscriber lost to backpressure so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
     }
 }
 
 /// The multi-subscriber fan-out bus.
-///
-/// `subscribe` registers a fresh ring under a write lock;
-/// [`publish`](PulseBus::publish) only ever takes the read side, and
-/// registration happens before the campaign starts, so publishing from
-/// workers is effectively lock-free.
 #[derive(Default)]
 pub struct PulseBus {
-    rings: RwLock<Vec<Arc<PulseRing>>>,
+    outlets: Arc<Outlets>,
 }
 
 impl std::fmt::Debug for PulseBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PulseBus")
             .field("subscribers", &self.subscriber_count())
-            .field("dropped", &self.total_dropped())
             .finish()
     }
 }
@@ -328,45 +219,50 @@ impl PulseBus {
         PulseBus::default()
     }
 
-    /// Registers a subscriber with its own ring of `capacity` events.
+    /// Registers a subscriber with its own channel of `capacity` events
+    /// (minimum 2).
     pub fn subscribe(&self, capacity: usize) -> Subscriber {
-        let ring = Arc::new(PulseRing::with_capacity(capacity));
-        self.rings
-            .write()
-            .expect("pulse bus lock poisoned")
-            .push(Arc::clone(&ring));
-        Subscriber { ring }
+        let (events, receiver) = sync_channel(capacity.max(2));
+        let dropped = Arc::new(AtomicU64::new(0));
+        self.lock().push(Outlet {
+            events,
+            dropped: Arc::clone(&dropped),
+        });
+        Subscriber {
+            events: receiver,
+            dropped,
+            bus: Arc::downgrade(&self.outlets),
+        }
     }
 
-    /// Fans `event` out to every subscriber; returns how many rings
-    /// accepted it (the rest counted drops). Never blocks on a full
-    /// ring.
+    /// Fans `event` out to every subscriber; returns how many channels
+    /// accepted it (full ones count a drop). Never waits on a full
+    /// channel. A disconnected subscriber is removed from the bus.
     pub fn publish(&self, event: &PulseEvent) -> usize {
-        let rings = self.rings.read().expect("pulse bus lock poisoned");
         let mut delivered = 0;
-        for ring in rings.iter() {
-            if ring.try_push(event.clone()) {
-                delivered += 1;
-            }
-        }
+        self.lock()
+            .retain(|outlet| match outlet.events.try_send(event.clone()) {
+                Ok(()) => {
+                    delivered += 1;
+                    true
+                }
+                Err(TrySendError::Full(_)) => {
+                    outlet.dropped.fetch_add(1, Ordering::Relaxed);
+                    true
+                }
+                Err(TrySendError::Disconnected(_)) => false,
+            });
         delivered
     }
 
     /// Registered subscriber count.
     #[must_use]
     pub fn subscriber_count(&self) -> usize {
-        self.rings.read().expect("pulse bus lock poisoned").len()
+        self.lock().len()
     }
 
-    /// Total events dropped across all subscribers.
-    #[must_use]
-    pub fn total_dropped(&self) -> u64 {
-        self.rings
-            .read()
-            .expect("pulse bus lock poisoned")
-            .iter()
-            .map(|r| r.dropped())
-            .sum()
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Outlet>> {
+        self.outlets.lock().expect("pulse bus lock poisoned")
     }
 }
 
@@ -490,37 +386,53 @@ mod tests {
 
     #[test]
     fn ring_round_trips_in_order() {
-        let ring = PulseRing::with_capacity(4);
+        let bus = PulseBus::new();
+        let sub = bus.subscribe(4);
         for i in 0..4 {
-            assert!(ring.try_push(ev(i)));
+            assert_eq!(bus.publish(&ev(i)), 1);
         }
         for i in 0..4 {
-            assert_eq!(ring.try_pop(), Some(ev(i)));
+            assert_eq!(sub.try_recv(), Some(ev(i)));
         }
-        assert_eq!(ring.try_pop(), None);
-        assert_eq!(ring.dropped(), 0);
+        assert_eq!(sub.try_recv(), None);
+        assert_eq!(sub.dropped(), 0);
     }
 
     #[test]
     fn full_ring_drops_and_counts() {
-        let ring = PulseRing::with_capacity(2);
-        assert!(ring.try_push(ev(0)));
-        assert!(ring.try_push(ev(1)));
-        assert!(!ring.try_push(ev(2)));
-        assert!(!ring.try_push(ev(3)));
-        assert_eq!(ring.dropped(), 2);
-        // Draining frees slots again.
-        assert_eq!(ring.try_pop(), Some(ev(0)));
-        assert!(ring.try_push(ev(4)));
-        assert_eq!(ring.try_pop(), Some(ev(1)));
-        assert_eq!(ring.try_pop(), Some(ev(4)));
+        let bus = PulseBus::new();
+        let sub = bus.subscribe(2);
+        for i in 0..100 {
+            bus.publish(&ev(i));
+        }
+        assert_eq!(sub.dropped(), 98);
+        // Draining frees room again.
+        assert_eq!(sub.try_recv(), Some(ev(0)));
+        assert_eq!(bus.publish(&ev(100)), 1);
+        assert_eq!(sub.drain(), vec![ev(1), ev(100)]);
+        assert_eq!(sub.dropped(), 98);
+        // Capacity is exact, floored at 2 (a zero-capacity std channel
+        // would refuse every `try_send`).
+        let three = bus.subscribe(3);
+        let zero = bus.subscribe(0);
+        for i in 0..10 {
+            bus.publish(&ev(i));
+        }
+        assert_eq!(three.drain().len(), 3);
+        assert_eq!(zero.drain().len(), 2);
     }
 
     #[test]
-    fn capacity_rounds_up_to_power_of_two() {
-        assert_eq!(PulseRing::with_capacity(0).capacity(), 2);
-        assert_eq!(PulseRing::with_capacity(3).capacity(), 4);
-        assert_eq!(PulseRing::with_capacity(64).capacity(), 64);
+    fn dropped_subscriber_leaves_the_bus() {
+        let bus = PulseBus::new();
+        let subs: Vec<_> = (0..3).map(|_| bus.subscribe(4096)).collect();
+        assert_eq!(bus.subscriber_count(), 3);
+        drop(subs);
+        assert_eq!(bus.subscriber_count(), 0);
+        assert_eq!(bus.publish(&ev(0)), 0);
+        // A subscriber outliving its bus is harmless.
+        let orphan = PulseBus::new().subscribe(2);
+        assert_eq!(orphan.try_recv(), None);
     }
 
     #[test]
@@ -532,7 +444,6 @@ mod tests {
         assert_eq!(a.try_recv(), Some(ev(7)));
         assert_eq!(b.drain(), vec![ev(7)]);
         assert_eq!(bus.subscriber_count(), 2);
-        assert_eq!(bus.total_dropped(), 0);
     }
 
     #[test]

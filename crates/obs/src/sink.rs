@@ -1,4 +1,4 @@
-//! Trace sinks and the versioned JSONL wire format.
+//! The versioned JSONL trace wire format.
 //!
 //! A trace serialises as one JSON object per line:
 //!
@@ -13,8 +13,6 @@
 //! loading rejects other versions with a clear error. Records are
 //! [`Json`] values, written and read by the crate's one codec.
 
-use std::path::{Path, PathBuf};
-
 use crate::json::{jsonl, Json, JsonlReader};
 use crate::metrics::HistSummary;
 use crate::span::{Phase, Span, Trace};
@@ -22,7 +20,7 @@ use crate::span::{Phase, Span, Trace};
 /// Version stamped into (and required from) the JSONL header line.
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
 
-/// Error from parsing a JSONL trace or writing one to disk.
+/// Error from parsing a JSONL trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceError {
     /// Human-readable description, including the offending line number.
@@ -40,76 +38,6 @@ impl std::error::Error for TraceError {}
 fn err(message: impl Into<String>) -> TraceError {
     TraceError {
         message: message.into(),
-    }
-}
-
-/// Destination for a finished campaign trace.
-pub trait TraceSink {
-    /// Deliver the merged trace. Called once, at campaign end.
-    fn emit(&mut self, trace: &Trace) -> Result<(), TraceError>;
-}
-
-/// Discards the trace.
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&mut self, _trace: &Trace) -> Result<(), TraceError> {
-        Ok(())
-    }
-}
-
-/// Keeps the last `capacity` spans (and all metrics) in memory — for
-/// tests and embedded consumers that only need the tail.
-pub struct RingSink {
-    capacity: usize,
-    /// Trace retained by the last [`TraceSink::emit`] call, spans
-    /// truncated to the newest `capacity`.
-    pub last: Option<Trace>,
-}
-
-impl RingSink {
-    /// A ring sink retaining at most `capacity` spans.
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            capacity,
-            last: None,
-        }
-    }
-}
-
-impl TraceSink for RingSink {
-    fn emit(&mut self, trace: &Trace) -> Result<(), TraceError> {
-        let mut kept = trace.clone();
-        let n = kept.spans.len();
-        if n > self.capacity {
-            kept.spans.drain(..n - self.capacity);
-        }
-        self.last = Some(kept);
-        Ok(())
-    }
-}
-
-/// Writes the trace to a JSONL file (overwriting).
-pub struct JsonlFileSink {
-    path: PathBuf,
-}
-
-impl JsonlFileSink {
-    /// A sink writing to `path` on emit.
-    pub fn new(path: impl Into<PathBuf>) -> JsonlFileSink {
-        JsonlFileSink { path: path.into() }
-    }
-
-    /// Destination path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl TraceSink for JsonlFileSink {
-    fn emit(&mut self, trace: &Trace) -> Result<(), TraceError> {
-        std::fs::write(&self.path, trace.to_jsonl())
-            .map_err(|e| err(format!("trace: cannot write {}: {e}", self.path.display())))
     }
 }
 
@@ -296,33 +224,5 @@ mod tests {
             .unwrap_err()
             .message
             .contains("unknown phase"));
-    }
-
-    #[test]
-    fn ring_sink_keeps_newest_spans() {
-        let trace = sample_trace();
-        let mut ring = RingSink::new(1);
-        ring.emit(&trace).unwrap();
-        let kept = ring.last.as_ref().unwrap();
-        assert_eq!(kept.spans.len(), 1);
-        assert_eq!(kept.spans[0].phase, Phase::Solve);
-        assert_eq!(kept.counters, trace.counters);
-    }
-
-    #[test]
-    fn null_sink_accepts_anything() {
-        NullSink.emit(&sample_trace()).unwrap();
-    }
-
-    #[test]
-    fn file_sink_round_trips_via_disk() {
-        let dir = std::env::temp_dir().join(format!("diode-obs-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
-        let trace = sample_trace();
-        JsonlFileSink::new(&path).emit(&trace).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(Trace::from_jsonl(&text).unwrap(), trace);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

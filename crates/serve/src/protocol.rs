@@ -70,8 +70,9 @@ pub enum Request {
     Watch {
         /// Job id to stream.
         job: String,
-        /// Subscriber ring capacity; a slow reader drops events beyond
-        /// this instead of slowing the campaign.
+        /// Subscriber ring capacity, 2..=[`MAX_WATCH_RING`]; a slow
+        /// reader drops events beyond this instead of slowing the
+        /// campaign.
         ring: usize,
     },
     /// Scrape the service metrics registry.
@@ -106,6 +107,10 @@ pub enum JobSource {
 
 /// Default `watch` subscriber ring capacity.
 pub const DEFAULT_WATCH_RING: usize = 4096;
+
+/// Largest `watch` ring a client may ask for. The ring's buffer is
+/// allocated up front, so an unbounded request could exhaust memory.
+pub const MAX_WATCH_RING: usize = 16 * DEFAULT_WATCH_RING;
 
 /// Parses one request line. The error is a ready-to-send `400` response.
 pub fn parse_request(line: &str) -> Result<Request, Json> {
@@ -165,10 +170,20 @@ pub fn parse_request(line: &str) -> Result<Request, Json> {
         },
         "health" => Ok(Request::Health),
         "watch" => match obj.get("job").and_then(Json::as_str) {
-            Some(job) => Ok(Request::Watch {
-                job: job.to_string(),
-                ring: opt_uint::<usize>(&obj, "ring", "")?.map_or(DEFAULT_WATCH_RING, |r| r.max(2)),
-            }),
+            Some(job) => {
+                let ring = opt_uint::<usize>(&obj, "ring", "")?.unwrap_or(DEFAULT_WATCH_RING);
+                if ring > MAX_WATCH_RING {
+                    return Err(reject(
+                        400,
+                        "bad_request",
+                        &format!("ring = {ring} exceeds the maximum {MAX_WATCH_RING}"),
+                    ));
+                }
+                Ok(Request::Watch {
+                    job: job.to_string(),
+                    ring: ring.max(2),
+                })
+            }
             None => Err(reject(400, "bad_request", "watch needs a \"job\" id")),
         },
         "shutdown" => Ok(Request::Shutdown),
@@ -513,6 +528,28 @@ mod tests {
         // Formerly ignored (the watch silently used the default ring).
         assert_rejects_field(
             &format!(r#"{{"op":"watch","job":"job-1","ring":{PAST_U64}}}"#),
+            "ring",
+        );
+    }
+
+    #[test]
+    fn ring_is_capped() {
+        let line = format!(r#"{{"op":"watch","job":"job-1","ring":{MAX_WATCH_RING}}}"#);
+        assert_eq!(
+            parse_request(&line).unwrap(),
+            Request::Watch {
+                job: "job-1".into(),
+                ring: MAX_WATCH_RING
+            }
+        );
+        let past = MAX_WATCH_RING + 1;
+        assert_rejects_field(
+            &format!(r#"{{"op":"watch","job":"job-1","ring":{past}}}"#),
+            "ring",
+        );
+        // The size that used to make the daemon allocate 2^40 slots.
+        assert_rejects_field(
+            r#"{"op":"watch","job":"job-1","ring":1099511627776}"#,
             "ring",
         );
     }

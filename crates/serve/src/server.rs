@@ -282,6 +282,32 @@ struct Daemon {
 }
 
 impl Daemon {
+    /// A daemon with empty caches and `cfg.workers` (at least one)
+    /// idle worker queues; no threads are started.
+    fn new(cfg: ServeConfig) -> Daemon {
+        let workers = cfg.workers.max(1);
+        Daemon {
+            solver_cache: Arc::new(SolverCache::new()),
+            snapshots: Arc::new(SnapshotCache::new()),
+            queues: (0..workers)
+                .map(|_| WorkerQueue {
+                    jobs: Mutex::new(VecDeque::new()),
+                    cv: Condvar::new(),
+                })
+                .collect(),
+            worker_stats: (0..workers).map(|_| WorkerStat::new()).collect(),
+            jobs: Mutex::new(Vec::new()),
+            next_job: AtomicU64::new(1),
+            jobs_done: AtomicU64::new(0),
+            jobs_failed: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            shutting_down: AtomicBool::new(false),
+            started: Instant::now(),
+            ops: cfg.metrics.then(Ops::new),
+            cfg,
+        }
+    }
+
     fn lookup(&self, id: &str) -> Option<Arc<JobEntry>> {
         self.jobs
             .lock()
@@ -328,28 +354,8 @@ impl ServerHandle {
 pub fn serve(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let workers = cfg.workers.max(1);
-    let daemon = Arc::new(Daemon {
-        solver_cache: Arc::new(SolverCache::new()),
-        snapshots: Arc::new(SnapshotCache::new()),
-        queues: (0..workers)
-            .map(|_| WorkerQueue {
-                jobs: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            })
-            .collect(),
-        worker_stats: (0..workers).map(|_| WorkerStat::new()).collect(),
-        jobs: Mutex::new(Vec::new()),
-        next_job: AtomicU64::new(1),
-        jobs_done: AtomicU64::new(0),
-        jobs_failed: AtomicU64::new(0),
-        rejected: AtomicU64::new(0),
-        shutting_down: AtomicBool::new(false),
-        started: Instant::now(),
-        ops: cfg.metrics.then(Ops::new),
-        cfg,
-    });
-    let worker_handles = (0..workers)
+    let daemon = Arc::new(Daemon::new(cfg));
+    let worker_handles = (0..daemon.queues.len())
         .map(|i| {
             let daemon = Arc::clone(&daemon);
             std::thread::Builder::new()
@@ -726,7 +732,7 @@ fn health(daemon: &Arc<Daemon>) -> Json {
 /// Counters and histograms accumulate on the hot paths; gauges are
 /// re-read from the daemon here, at scrape time.
 fn scrape(daemon: &Arc<Daemon>, ops: &Ops) -> diode_obs::MetricsSnapshot {
-    let gauge = |name: &str, help: &str, v: f64| ops.registry.gauge(name, help, &[]).set(v);
+    let gauge = |name: &str, help: &str, v: f64| ops.registry.set_gauge(name, help, &[], v);
     gauge(
         "diode_uptime_seconds",
         "Seconds since the daemon started.",
@@ -1255,6 +1261,7 @@ fn snapshot_stats_json(s: &SnapshotStats) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::DEFAULT_WATCH_RING;
 
     #[test]
     fn sharding_is_stable_and_prefix_driven() {
@@ -1279,6 +1286,45 @@ mod tests {
             "a planted stall changes the suite's content"
         );
         assert!(spec_label(&a, 0).starts_with("spec-"));
+    }
+
+    #[test]
+    fn watching_a_finished_job_leaves_no_subscriber_behind() {
+        let daemon = Arc::new(Daemon::new(ServeConfig::default()));
+        let worker = {
+            let daemon = Arc::clone(&daemon);
+            std::thread::spawn(move || worker_loop(&daemon, 0))
+        };
+        let source = JobSource::Forge {
+            cfg: SynthConfig::default().with_apps(1),
+            stall_work: 0,
+        };
+        let reply = submit(&daemon, source, true, Some(1), None);
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{reply}"
+        );
+        let entry = daemon.lookup("job-1").expect("job registered");
+        assert_eq!(entry.bus.subscriber_count(), 0, "the archive pump left");
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let reader = std::thread::spawn(move || std::io::copy(&mut client, &mut std::io::sink()));
+        let (mut out, _) = listener.accept().unwrap();
+        for _ in 0..50 {
+            watch(&daemon, &entry.id, DEFAULT_WATCH_RING, &mut out);
+        }
+        drop(out);
+        assert!(
+            reader.join().unwrap().unwrap() > 0,
+            "watch replayed the archive"
+        );
+        assert_eq!(entry.bus.subscriber_count(), 0);
+
+        daemon.shutting_down.store(true, Ordering::SeqCst);
+        daemon.queues[0].cv.notify_all();
+        worker.join().unwrap();
     }
 
     #[test]
