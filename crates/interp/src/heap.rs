@@ -15,8 +15,12 @@
 //! * allocation sizes ≥ the allocator limit fail (null return or abort,
 //!   depending on the site's wrapper, matching `malloc` vs `g_malloc`).
 //!
-//! Block payloads are stored densely for ordinary sizes and sparsely for
-//! huge allocations, so simulating a 2 GB allocation costs no host memory.
+//! Block payloads are materialised on first write. Blocks up to 1 MiB are
+//! paged: a table of 256-cell pages, each created by the first store into
+//! it, so a megabyte allocation that a program probes at 16 offsets holds
+//! 16 pages, not a million cells. Larger blocks are sparse maps of touched
+//! cells, so simulating a 2 GB allocation costs no host memory either. An
+//! unwritten cell reads as zero in both.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -117,19 +121,37 @@ impl<T: Default> Default for Cell<T> {
     }
 }
 
-/// Block payloads sit behind `Arc`s so cloning a whole heap — the
-/// prefix-snapshot operation — is O(blocks), not O(bytes): the payloads
-/// are shared and only copied again when a post-snapshot write lands in
-/// them (`Arc::make_mut` copy-on-write).
+/// Cells per page of a paged payload.
+pub(crate) const PAGE_CELLS: usize = 256;
+
+/// Blocks of at most this many bytes are paged; larger ones are sparse.
+/// A page table for the largest such block has 4,096 slots (32 KiB).
+const DENSE_LIMIT: u32 = 1 << 20;
+
+/// [`PAGE_CELLS`] consecutive cells of a paged payload (fewer in a
+/// block's last page).
+type Page<T> = Arc<Vec<Cell<T>>>;
+
+/// A block's cells, materialised on first write.
+///
+/// `Paged` holds `size.div_ceil(PAGE_CELLS)` slots; a slot stays `None`
+/// until the first store into its page creates it (the last page cut to
+/// the block's size). `Sparse` keys touched cells by offset. Its offsets
+/// come from program input, so the map keeps std's DoS-resistant hasher.
+///
+/// Tables, pages and maps sit behind `Arc`s so cloning a whole heap — the
+/// prefix-snapshot operation — is O(blocks), not O(bytes). Copy-on-write
+/// (`Arc::make_mut`) is per page: a post-snapshot store copies the table
+/// and the one page it lands in, not the whole block.
 enum Payload<T> {
-    Dense(Arc<Vec<Cell<T>>>),
+    Paged(Arc<Vec<Option<Page<T>>>>),
     Sparse(Arc<HashMap<u64, Cell<T>>>),
 }
 
 impl<T: Clone> Clone for Payload<T> {
     fn clone(&self) -> Self {
         match self {
-            Payload::Dense(cells) => Payload::Dense(Arc::clone(cells)),
+            Payload::Paged(pages) => Payload::Paged(Arc::clone(pages)),
             Payload::Sparse(cells) => Payload::Sparse(Arc::clone(cells)),
         }
     }
@@ -140,8 +162,9 @@ struct Block<T> {
     size: u32,
     freed: bool,
     payload: Payload<T>,
-    /// Approximate bytes charged to the heap gauge for this block's
-    /// payload (dense: size × cell; sparse: grows per touched cell).
+    /// Approximate bytes charged to the heap gauge for this block: the
+    /// fixed overhead, plus each page's cells as it is created (paged) or
+    /// each touched cell (sparse). The page table itself is not charged.
     accounted: u64,
 }
 
@@ -158,7 +181,7 @@ impl<T: Clone> Clone for Block<T> {
 }
 
 /// Fixed per-block bookkeeping charge (site arc, size, flags, vec slot).
-const BLOCK_OVERHEAD_BYTES: u64 = 48;
+pub(crate) const BLOCK_OVERHEAD_BYTES: u64 = 48;
 
 /// Extra charge per sparse cell beyond the cell itself (hash-map key +
 /// bucket overhead).
@@ -176,8 +199,6 @@ pub struct Heap<T> {
     alloc_limit: u64,
     /// Accesses past `size + redzone` fault instead of being recorded.
     redzone: u64,
-    /// Block payloads at most this large are stored densely.
-    dense_limit: u32,
     /// Approximate bytes resident in live block payloads right now.
     cur_bytes: u64,
     /// High-water mark of `cur_bytes` over the heap's lifetime. Plain
@@ -193,7 +214,6 @@ impl<T: Clone> Clone for Heap<T> {
             errors: self.errors.clone(),
             alloc_limit: self.alloc_limit,
             redzone: self.redzone,
-            dense_limit: self.dense_limit,
             cur_bytes: self.cur_bytes,
             peak_bytes: self.peak_bytes,
         }
@@ -214,7 +234,6 @@ impl<T: Default + Clone> Heap<T> {
             errors: Vec::new(),
             alloc_limit,
             redzone,
-            dense_limit: 1 << 20,
             cur_bytes: 0,
             peak_bytes: 0,
         }
@@ -234,25 +253,18 @@ impl<T: Default + Clone> Heap<T> {
         if u64::from(size) >= self.alloc_limit {
             return None;
         }
-        let cell_cost = std::mem::size_of::<Cell<T>>() as u64;
-        let (payload, accounted) = if size <= self.dense_limit {
-            (
-                Payload::Dense(Arc::new(vec![Cell::default(); size as usize])),
-                BLOCK_OVERHEAD_BYTES + u64::from(size) * cell_cost,
-            )
+        let payload = if size <= DENSE_LIMIT {
+            Payload::Paged(Arc::new(vec![None; (size as usize).div_ceil(PAGE_CELLS)]))
         } else {
-            (
-                Payload::Sparse(Arc::new(HashMap::new())),
-                BLOCK_OVERHEAD_BYTES,
-            )
+            Payload::Sparse(Arc::new(HashMap::new()))
         };
-        self.account(accounted);
+        self.account(BLOCK_OVERHEAD_BYTES);
         self.blocks.push(Block {
             site,
             size,
             freed: false,
             payload,
-            accounted,
+            accounted: BLOCK_OVERHEAD_BYTES,
         });
         Some(BlockId(
             u32::try_from(self.blocks.len()).expect("too many blocks"),
@@ -283,7 +295,7 @@ impl<T: Default + Clone> Heap<T> {
             // unreachable from here on: drop them eagerly. This keeps
             // long-lived heap clones — prefix snapshots — from pinning
             // (and later re-dropping) megabytes of dead payload.
-            block.payload = Payload::Dense(Arc::new(Vec::new()));
+            block.payload = Payload::Paged(Arc::new(Vec::new()));
             let released = std::mem::take(&mut block.accounted);
             self.cur_bytes = self.cur_bytes.saturating_sub(released);
         }
@@ -323,9 +335,14 @@ impl<T: Default + Clone> Heap<T> {
             });
             return Ok(Cell::default());
         }
+        // In bounds: `offset < size ≤ u32::MAX`, so the casts are exact.
+        let offset = offset as usize;
         Ok(match &block.payload {
-            Payload::Dense(cells) => cells[offset as usize].clone(),
-            Payload::Sparse(cells) => cells.get(&offset).cloned().unwrap_or_default(),
+            Payload::Paged(pages) => match &pages[offset / PAGE_CELLS] {
+                Some(page) => page[offset % PAGE_CELLS].clone(),
+                None => Cell::default(),
+            },
+            Payload::Sparse(cells) => cells.get(&(offset as u64)).cloned().unwrap_or_default(),
         })
     }
 
@@ -369,16 +386,32 @@ impl<T: Default + Clone> Heap<T> {
             });
             return Ok(());
         }
-        match &mut block.payload {
-            Payload::Dense(cells) => Arc::make_mut(cells)[offset as usize] = cell,
+        let cell_cost = std::mem::size_of::<Cell<T>>() as u64;
+        // Bytes newly materialised by this store (zero on a rewrite).
+        let charged = match &mut block.payload {
+            Payload::Paged(pages) => {
+                // In bounds: `offset < size ≤ u32::MAX`, so the casts are exact.
+                let (index, slot) = (offset as usize / PAGE_CELLS, offset as usize % PAGE_CELLS);
+                let mut charged = 0;
+                let page = Arc::make_mut(pages)[index].get_or_insert_with(|| {
+                    let len = (block.size as usize - index * PAGE_CELLS).min(PAGE_CELLS);
+                    charged = len as u64 * cell_cost;
+                    Arc::new(vec![Cell::default(); len])
+                });
+                Arc::make_mut(page)[slot] = cell;
+                charged
+            }
             Payload::Sparse(cells) => {
                 if Arc::make_mut(cells).insert(offset, cell).is_none() {
-                    // A never-touched sparse cell materialised.
-                    let cost = std::mem::size_of::<Cell<T>>() as u64 + SPARSE_CELL_OVERHEAD_BYTES;
-                    block.accounted += cost;
-                    self.account(cost);
+                    cell_cost + SPARSE_CELL_OVERHEAD_BYTES
+                } else {
+                    0
                 }
             }
+        };
+        if charged > 0 {
+            block.accounted += charged;
+            self.account(charged);
         }
         Ok(())
     }
@@ -402,10 +435,11 @@ impl<T: Default + Clone> Heap<T> {
         self.blocks.iter().filter(|b| !b.freed).count()
     }
 
-    /// Approximate bytes resident in live block payloads right now.
-    /// Logical accounting: payloads shared with snapshot clones via
-    /// copy-on-write `Arc`s are charged to every heap that can reach
-    /// them.
+    /// Approximate bytes resident in live block payloads right now:
+    /// per-block overhead plus the cells of every materialised page or
+    /// sparse cell. Logical accounting: pages shared with snapshot
+    /// clones via copy-on-write `Arc`s are charged to every heap that
+    /// can reach them.
     #[must_use]
     pub fn current_bytes(&self) -> u64 {
         self.cur_bytes
@@ -529,27 +563,31 @@ mod tests {
         let mut h = heap();
         assert_eq!((h.current_bytes(), h.peak_bytes()), (0, 0));
 
-        // Dense block: charged up front.
-        let dense = h.alloc("t@1".into(), 8).unwrap();
-        let dense_cost = BLOCK_OVERHEAD_BYTES + 8 * cell;
-        assert_eq!(h.current_bytes(), dense_cost);
+        // Paged block: only overhead until written; each page is
+        // charged once, when the first store creates it.
+        let paged = h.alloc("t@1".into(), 8).unwrap();
+        assert_eq!(h.current_bytes(), BLOCK_OVERHEAD_BYTES);
+        h.store(paged, 3, cell_of(1), Label(0)).unwrap();
+        h.store(paged, 5, cell_of(2), Label(0)).unwrap(); // same page: no growth
+        let paged_cost = BLOCK_OVERHEAD_BYTES + 8 * cell;
+        assert_eq!(h.current_bytes(), paged_cost);
 
         // Sparse block: only overhead until cells are touched.
         let sparse = h.alloc("t@2".into(), (1 << 30) - 1).unwrap();
-        assert_eq!(h.current_bytes(), dense_cost + BLOCK_OVERHEAD_BYTES);
+        assert_eq!(h.current_bytes(), paged_cost + BLOCK_OVERHEAD_BYTES);
         h.store(sparse, 17, cell_of(1), Label(0)).unwrap();
         h.store(sparse, 17, cell_of(2), Label(0)).unwrap(); // rewrite: no growth
         h.store(sparse, 99, cell_of(3), Label(0)).unwrap();
         let sparse_cost = BLOCK_OVERHEAD_BYTES + 2 * (cell + SPARSE_CELL_OVERHEAD_BYTES);
-        assert_eq!(h.current_bytes(), dense_cost + sparse_cost);
+        assert_eq!(h.current_bytes(), paged_cost + sparse_cost);
         let peak = h.peak_bytes();
         assert_eq!(peak, h.current_bytes());
 
         // Free releases a block's charge; the peak stays.
-        h.free(dense, Label(0));
+        h.free(paged, Label(0));
         assert_eq!(h.current_bytes(), sparse_cost);
         assert_eq!(h.peak_bytes(), peak);
-        h.free(dense, Label(0)); // double free: no double release
+        h.free(paged, Label(0)); // double free: no double release
         assert_eq!(h.current_bytes(), sparse_cost);
 
         // Clones carry the gauges.
@@ -560,6 +598,69 @@ mod tests {
 
     fn cell_of(v: u8) -> Cell<()> {
         cell(v)
+    }
+
+    #[test]
+    fn pages_materialise_on_first_write() {
+        let cell_bytes = std::mem::size_of::<Cell<()>>() as u64;
+        let size: u32 = (1 << 20) - 1;
+        let last = u64::from(size) - 1;
+        let mut h = heap();
+        let b = h.alloc("t@1".into(), size).unwrap();
+        assert_eq!(h.current_bytes(), BLOCK_OVERHEAD_BYTES);
+        // Absent pages read zero and materialise nothing.
+        for off in [0, 1, 300, last] {
+            assert_eq!(h.load(b, off, Label(0)).unwrap().value, Bv::byte(0));
+        }
+        assert_eq!(h.current_bytes(), BLOCK_OVERHEAD_BYTES);
+
+        h.store(b, 0, cell(0x11), Label(0)).unwrap();
+        h.store(b, last, cell(0x22), Label(0)).unwrap();
+        // One full page plus the short last page (size % PAGE_CELLS cells).
+        let short = u64::from(size) % PAGE_CELLS as u64;
+        assert_eq!(short, 255);
+        let charged = (PAGE_CELLS as u64 + short) * cell_bytes;
+        assert_eq!(h.current_bytes(), BLOCK_OVERHEAD_BYTES + charged);
+        assert_eq!(h.load(b, 0, Label(0)).unwrap().value, Bv::byte(0x11));
+        assert_eq!(h.load(b, last, Label(0)).unwrap().value, Bv::byte(0x22));
+        // Unwritten cells of existing pages still read zero.
+        assert_eq!(h.load(b, 1, Label(0)).unwrap().value, Bv::byte(0));
+        assert_eq!(h.load(b, last - 1, Label(0)).unwrap().value, Bv::byte(0));
+        // The cell just past the block is out of bounds, not a page slot.
+        h.store(b, u64::from(size), cell(1), Label(0)).unwrap();
+        assert_eq!(h.errors()[0].kind, MemErrorKind::InvalidWrite);
+        assert_eq!(h.current_bytes(), BLOCK_OVERHEAD_BYTES + charged);
+
+        // Free releases exactly those charges.
+        h.free(b, Label(0));
+        assert_eq!(h.current_bytes(), 0);
+        assert_eq!(h.peak_bytes(), BLOCK_OVERHEAD_BYTES + charged);
+    }
+
+    #[test]
+    fn clones_are_isolated() {
+        let mut h = heap();
+        let paged = h.alloc("t@1".into(), 4096).unwrap();
+        let sparse = h.alloc("t@2".into(), (1 << 30) - 1).unwrap();
+        for b in [paged, sparse] {
+            h.store(b, 7, cell(1), Label(0)).unwrap();
+        }
+        let mut clone = h.clone();
+        for b in [paged, sparse] {
+            // Same page, another page, and a sparse rewrite.
+            clone.store(b, 7, cell(2), Label(0)).unwrap();
+            clone.store(b, 3000, cell(3), Label(0)).unwrap();
+            h.store(b, 8, cell(4), Label(0)).unwrap();
+        }
+        for b in [paged, sparse] {
+            let read = |h: &mut Heap<()>, off| h.load(b, off, Label(0)).unwrap().value;
+            assert_eq!(read(&mut h, 7), Bv::byte(1));
+            assert_eq!(read(&mut h, 3000), Bv::byte(0));
+            assert_eq!(read(&mut h, 8), Bv::byte(4));
+            assert_eq!(read(&mut clone, 7), Bv::byte(2));
+            assert_eq!(read(&mut clone, 3000), Bv::byte(3));
+            assert_eq!(read(&mut clone, 8), Bv::byte(0));
+        }
     }
 
     #[test]

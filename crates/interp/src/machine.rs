@@ -1296,6 +1296,33 @@ mod tests {
     }
 
     #[test]
+    fn strided_probe_of_a_megabyte_block_holds_only_touched_pages() {
+        // The forge's probe shape: a large allocation touched at 16
+        // strided offsets. Only the 16 pages written are materialised.
+        let peak = std::thread::spawn(|| {
+            let _ = crate::heap::take_peak_heap_bytes();
+            let r = run_concrete(
+                r#"fn main() {
+                    buf = alloc("t@1", 1000000);
+                    p = 0;
+                    while p < 16 { buf[p * 62500] = 1u8; p = p + 1; }
+                    x = buf[62500];
+                    if x != 1u8 { abort("bad"); }
+                    free(buf);
+                }"#,
+                &[],
+            );
+            assert_eq!(r.outcome, Outcome::Completed);
+            assert!(r.mem_errors.is_empty());
+            crate::heap::take_peak_heap_bytes()
+        })
+        .join()
+        .unwrap();
+        let page = crate::heap::PAGE_CELLS as u64 * std::mem::size_of::<Cell<()>>() as u64;
+        assert_eq!(peak, crate::heap::BLOCK_OVERHEAD_BYTES + 16 * page);
+    }
+
+    #[test]
     fn oob_write_recorded_then_wild_write_faults() {
         let r = run_concrete(
             r#"fn main() {

@@ -19,6 +19,9 @@
 //! {"op":"shutdown"}
 //! ```
 //!
+//! A request line may be at most [`MAX_REQUEST_LINE`] bytes (64 KiB)
+//! before its newline.
+//!
 //! Every response carries `"ok"` (except `metrics` in Prometheus
 //! format, which streams the raw text exposition and closes). Failures
 //! add an HTTP-flavoured `"code"` plus a stable `"error"` token —
@@ -104,6 +107,11 @@ pub enum JobSource {
     /// prefix), then run it.
     Suite(String),
 }
+
+/// Longest request line the daemon reads, in bytes, not counting its
+/// newline. A longer line is answered `400 bad_request` unparsed, so a
+/// client cannot grow one line until the daemon runs out of memory.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Default `watch` subscriber ring capacity.
 pub const DEFAULT_WATCH_RING: usize = 4096;

@@ -22,7 +22,7 @@
 //! campaign (the `diode-obs` invariant).
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,7 +42,7 @@ use diode_obs::{
 use diode_synth::{forge, forge_range, score, Fnv64, SynthConfig, SynthOracle};
 
 use crate::protocol::{
-    parse_request, reject, spec_json, JobSource, Json, Request, PROTOCOL_VERSION,
+    parse_request, reject, spec_json, JobSource, Json, Request, MAX_REQUEST_LINE, PROTOCOL_VERSION,
 };
 
 /// Daemon configuration.
@@ -394,15 +394,33 @@ fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>, addr: SocketAddr) {
 /// Reads one request line, dispatches, writes the response line(s).
 /// I/O errors mean the client went away — nothing to do but stop.
 fn handle_connection(stream: TcpStream, daemon: &Arc<Daemon>, addr: SocketAddr) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    // Reading one byte past the cap tells a line that fits from one
+    // that does not, without ever buffering more than that.
+    let mut reader = BufReader::new(read_half.take(MAX_REQUEST_LINE as u64 + 1));
+    let mut line = Vec::new();
+    if reader.read_until(b'\n', &mut line).is_err() {
         return;
     }
     let mut out = stream;
+    if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+        let detail = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+        let _ = writeln!(out, "{}", reject(400, "bad_request", &detail));
+        return;
+    }
+    let Ok(line) = String::from_utf8(line) else {
+        let _ = writeln!(
+            out,
+            "{}",
+            reject(400, "bad_request", "request line is not UTF-8")
+        );
+        return;
+    };
+    if line.trim().is_empty() {
+        return;
+    }
     match parse_request(line.trim()) {
         Err(err) => {
             let _ = writeln!(out, "{err}");
@@ -1325,6 +1343,59 @@ mod tests {
         daemon.shutting_down.store(true, Ordering::SeqCst);
         daemon.queues[0].cv.notify_all();
         worker.join().unwrap();
+    }
+
+    /// Sends `line` to `handle_connection` over a loopback socket and
+    /// returns the reply line.
+    fn exchange(line: &[u8]) -> Json {
+        let daemon = Arc::new(Daemon::new(ServeConfig::default()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let server = std::thread::spawn(move || handle_connection(conn, &daemon, addr));
+        client.write_all(line).unwrap();
+        let mut reply = String::new();
+        BufReader::new(client).read_line(&mut reply).unwrap();
+        server.join().unwrap();
+        Json::parse(reply.trim()).unwrap()
+    }
+
+    #[test]
+    fn request_lines_are_capped() {
+        // A line of exactly the cap (newline not counted) is parsed.
+        let head = r#"{"op":"health","pad":""#;
+        let pad = "x".repeat(MAX_REQUEST_LINE - head.len() - 2);
+        let at_cap = format!("{head}{pad}\"}}");
+        assert_eq!(at_cap.len(), MAX_REQUEST_LINE);
+        let reply = exchange(format!("{at_cap}\n").as_bytes());
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{reply}"
+        );
+        assert!(reply.get("healthy").is_some(), "{reply}");
+
+        // One byte more is refused unparsed, naming the cap.
+        let reply = exchange(format!("{at_cap} ").as_bytes());
+        assert_eq!(
+            reply.get("code").and_then(Json::as_u64),
+            Some(400),
+            "{reply}"
+        );
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let detail = reply.get("detail").and_then(Json::as_str).unwrap();
+        assert!(detail.contains(&MAX_REQUEST_LINE.to_string()), "{detail}");
+
+        let reply = exchange(b"\xff\xfe\n");
+        assert_eq!(
+            reply.get("code").and_then(Json::as_u64),
+            Some(400),
+            "{reply}"
+        );
     }
 
     #[test]
