@@ -189,27 +189,48 @@ fn planted_stall_raises_exactly_one_slow_site_anomaly() {
     pulse.heartbeat = Duration::from_millis(1);
     spec.pulse = Some(pulse);
     let _report = spec.run();
+    let events = sub.drain();
+    let mut walls: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            PulseEvent::SiteFinished { wall_ns, .. } => Some(*wall_ns),
+            _ => None,
+        })
+        .collect();
+    walls.sort_unstable();
+    let median = walls[walls.len() / 2];
+    let factor = 8.0;
     let mut watchdog = Watchdog::new(WatchdogConfig {
-        slow_site_factor: 8.0,
-        slow_site_floor_ns: 0,
+        slow_site_factor: factor,
+        // The healthy sites' median is under 0.1 ms, so 8x of it alone
+        // also flags ordinary solver-bound sites (up to ~8 ms). The floor
+        // sits between those and the stall (~35-42 ms), so only the
+        // planted app can cross it.
+        slow_site_floor_ns: 15_000_000,
         min_sites_for_median: 8,
         idle_heartbeats: u32::MAX, // single-core CI: idle workers are expected
         cache_ceiling_bytes: None,
     });
-    for event in sub.drain() {
-        watchdog.feed(&event);
+    for event in &events {
+        watchdog.feed(event);
     }
     let anomalies = watchdog.finish();
     assert_eq!(
         anomalies.len(),
         1,
-        "exactly the planted stall must fire: {anomalies:?}"
+        "exactly the planted stall must fire (site walls in ns: {walls:?}): {anomalies:?}"
     );
     assert_eq!(anomalies[0].kind.as_str(), "slow_site");
     assert!(
         anomalies[0].subject.contains(&slow_name),
         "anomaly {:?} must point at {slow_name}",
         anomalies[0].subject
+    );
+    // The median rule holds for the stall too, not only the floor.
+    assert!(
+        anomalies[0].value as f64 > factor * median as f64,
+        "stall of {} ns must exceed {factor}x the {median} ns median",
+        anomalies[0].value
     );
 }
 

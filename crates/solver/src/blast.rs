@@ -601,10 +601,8 @@ mod tests {
     }
 
     fn check_model_satisfies(cond: &SymBool, model: &BTreeMap<u32, u8>) {
-        assert!(
-            cond.eval(&|o| model.get(&o).copied().unwrap_or(0)),
-            "model does not satisfy condition"
-        );
+        let model = crate::Model::from_bytes(model.iter().map(|(&o, &v)| (o, v)));
+        assert!(model.satisfies(cond), "model does not satisfy condition");
     }
 
     fn byte32(off: u32) -> SymExpr {

@@ -7,13 +7,15 @@
 //! bytes — built as:
 //!
 //! 1. an unsigned-interval pre-analysis ([`interval`]) that discharges
-//!    trivially (un)satisfiable constraints,
-//! 2. a Tseitin bit-blaster ([`blast`]) turning
+//!    trivially unsatisfiable constraints,
+//! 2. a constant-fill probe that answers, by plain evaluation, the many
+//!    queries some uniform byte value satisfies (see [`solve_with`]),
+//! 3. a Tseitin bit-blaster ([`blast`]) turning
 //!    [`diode_symbolic::SymExpr`]/[`diode_symbolic::SymBool`] DAGs into CNF with exact
 //!    circuits for every operation and overflow atom,
-//! 3. a CDCL SAT core ([`sat`]) with watched literals, VSIDS, Luby
+//! 4. a CDCL SAT core ([`sat`]) with watched literals, VSIDS, Luby
 //!    restarts, phase saving and clause-database reduction,
-//! 4. a sharded, thread-safe **query cache** ([`cache`]) memoizing
+//! 5. a sharded, thread-safe **query cache** ([`cache`]) memoizing
 //!    `Sat`/`Unsat` outcomes behind structural fingerprints of the
 //!    constraint DAG — the substrate `diode-engine` campaigns share
 //!    across all workers.

@@ -5,7 +5,23 @@
 //! [`Model`] (an assignment to the constrained bytes), report `Unsat`, or
 //! give up on a budget.
 //!
-//! Two extra entry points support the paper's evaluation protocol:
+//! [`solve_with`] pays for SAT search only when cheaper steps cannot
+//! answer. In order:
+//!
+//! 1. the unsigned-interval pre-analysis proves the query `Unsat`
+//!    outright when it can;
+//! 2. a constant-fill probe sets every constrained byte to `0x00`, then
+//!    `0x7f`, `0x80` and `0xff`, and returns the first fill under which
+//!    the query evaluates true — the concrete check of the paper's
+//!    Figure 7 loop, taken before any solver call;
+//! 3. otherwise the query is bit-blasted and searched.
+//!
+//! Every model that leaves [`solve_with`] has been evaluated true against
+//! its query ([`Model::satisfies`]); a search model that fails the check
+//! is reported as `Unknown`, never as `Sat`.
+//!
+//! Two extra entry points support the paper's evaluation protocol, and
+//! both always search (the probe would hand every sample the same fill):
 //!
 //! * [`sample`] draws *n* diversified models by re-solving with randomised
 //!   decision polarities and activity jitter — this regenerates the
@@ -82,6 +98,14 @@ impl Model {
         }
     }
 
+    /// True if `cond` evaluates true under this model (bytes outside the
+    /// model read as 0). This is the check every model returned by
+    /// [`solve_with`] has passed.
+    #[must_use]
+    pub fn satisfies(&self, cond: &SymBool) -> bool {
+        cond.eval(&self.lookup_over(&[]))
+    }
+
     /// Patches the model's bytes into a mutable buffer (offsets past the
     /// end are ignored).
     pub fn patch(&self, buffer: &mut [u8]) {
@@ -132,6 +156,8 @@ pub struct SolveStats {
     pub vars: usize,
     /// True if the interval pre-analysis decided the query by itself.
     pub decided_by_interval: bool,
+    /// True if a constant-fill probe found the model (nothing was blasted).
+    pub decided_by_probe: bool,
 }
 
 /// Solves a constraint with the default configuration.
@@ -140,8 +166,17 @@ pub fn solve(cond: &SymBool) -> SolveResult {
     solve_with(cond, &SolverConfig::default(), None).0
 }
 
+/// Constant fills the probe tries, in order, before bit-blasting. Small
+/// values first: a model made of extreme bytes tends to break the
+/// upper-bound guards that later enforcement queries must then repair.
+const PROBE_FILLS: [u8; 4] = [0x00, 0x7f, 0x80, 0xff];
+
 /// Solves a constraint, optionally seeding decision polarities for model
 /// diversity, and returns statistics.
+///
+/// Without a diversity seed, a constant-fill probe runs before the
+/// blaster (see the module docs); a seeded call always searches, since
+/// the probe would hand every seed the same model.
 #[must_use]
 pub fn solve_with(
     cond: &SymBool,
@@ -149,10 +184,19 @@ pub fn solve_with(
     diversity_seed: Option<u64>,
 ) -> (SolveResult, SolveStats) {
     let mut stats = SolveStats::default();
-    // Tri::True still needs a model, so only Unsat short-circuits here.
+    // Tri::True still needs a model (the probe or the search supplies
+    // it), so only Unsat short-circuits here.
     if config.interval_presolve && cond_range(cond) == Tri::False {
         stats.decided_by_interval = true;
+        diode_obs::count("solver.decided_by_interval", 1);
         return (SolveResult::Unsat, stats);
+    }
+    if diversity_seed.is_none() {
+        if let Some(model) = probe(cond) {
+            stats.decided_by_probe = true;
+            diode_obs::count("solver.decided_by_probe", 1);
+            return (SolveResult::Sat(model), stats);
+        }
     }
     let mut sat = Sat::new(SatConfig {
         max_conflicts: config.max_conflicts,
@@ -186,12 +230,29 @@ pub fn solve_with(
                 .into_iter()
                 .map(|o| (o, blaster.model_byte(o).expect("encoded byte")))
                 .collect();
-            SolveResult::Sat(Model { bytes })
+            let model = Model { bytes };
+            if model.satisfies(cond) {
+                SolveResult::Sat(model)
+            } else {
+                diode_obs::count("solver.model_rejects", 1);
+                SolveResult::Unknown
+            }
         }
         SatOutcome::Unsat => SolveResult::Unsat,
         SatOutcome::Unknown => SolveResult::Unknown,
     };
     (result, stats)
+}
+
+/// The first of [`PROBE_FILLS`] that satisfies `cond` when written to
+/// every byte it reads, as a model over exactly those bytes. Evaluating
+/// under the constant lookup is evaluating under that model, since the
+/// model covers every byte `cond` reads.
+fn probe(cond: &SymBool) -> Option<Model> {
+    let fill = *PROBE_FILLS.iter().find(|&&fill| cond.eval(&|_| fill))?;
+    Some(Model::from_bytes(
+        cond.input_bytes().into_iter().map(|o| (o, fill)),
+    ))
 }
 
 /// Draws up to `n` models of `cond`, each from an independently seeded
@@ -317,6 +378,48 @@ mod tests {
         let beta = overflow_condition(&field32(0).bin(BinOp::Mul, field32(4)));
         let m = solve(&beta).model().cloned().expect("sat");
         assert!(beta.eval(&m.lookup_over(&[])));
+    }
+
+    #[test]
+    fn fill_satisfiable_query_is_decided_by_the_probe() {
+        // 0x00 fills do not overflow the product; 0x7f fills do.
+        let beta = overflow_condition(&field32(0).bin(BinOp::Mul, field32(4)));
+        let (res, stats) = solve_with(&beta, &SolverConfig::default(), None);
+        let m = res.model().expect("sat");
+        assert!(stats.decided_by_probe);
+        assert_eq!(stats.vars, 0, "nothing is blasted");
+        assert_eq!(m.bytes().len(), 8);
+        assert!(m.bytes().values().all(|&b| b == 0x7f));
+        assert!(m.satisfies(&beta));
+    }
+
+    #[test]
+    fn query_no_fill_satisfies_is_still_searched() {
+        let cond = SymBool::cmp(CmpOp::Eq, byte32(0), c32(0x42));
+        let (res, stats) = solve_with(&cond, &SolverConfig::default(), None);
+        assert!(!stats.decided_by_probe);
+        assert!(stats.vars > 0, "the query was blasted");
+        let m = res.model().expect("sat");
+        assert_eq!(m.byte(0), Some(0x42));
+        assert!(m.satisfies(&cond));
+    }
+
+    #[test]
+    fn seeded_solves_never_take_the_probe() {
+        let beta = overflow_condition(&field32(0).bin(BinOp::Mul, field32(4)));
+        for seed in 0..4 {
+            let (res, stats) = solve_with(&beta, &SolverConfig::default(), Some(seed));
+            assert!(!stats.decided_by_probe);
+            assert!(stats.vars > 0);
+            assert!(res.model().expect("sat").satisfies(&beta));
+        }
+    }
+
+    #[test]
+    fn satisfies_rejects_a_wrong_model() {
+        let cond = SymBool::cmp(CmpOp::Eq, byte32(0), c32(0x42));
+        assert!(Model::from_bytes([(0, 0x42)]).satisfies(&cond));
+        assert!(!Model::from_bytes([(0, 0x41)]).satisfies(&cond));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property tests for the solver: soundness of SAT answers (models really
-//! satisfy the constraint), agreement of UNSAT answers with brute force
-//! over small byte spaces, interval-analysis soundness, and enumeration
-//! completeness.
+//! satisfy the constraint, whichever path of `solve_with` found them),
+//! agreement of UNSAT answers with brute force over small byte spaces,
+//! interval-analysis soundness, and enumeration completeness.
 
 use diode_lang::{BinOp, Bv, CastKind, CmpOp};
-use diode_solver::{enumerate, interval, solve, SolverConfig};
+use diode_solver::{enumerate, interval, solve, solve_with, SolveResult, SolverConfig};
 use diode_symbolic::{overflow_condition, SymBool, SymExpr};
 use proptest::prelude::*;
 
@@ -87,15 +87,40 @@ proptest! {
         let cond = c1.and(&c2);
         let brute = brute_force(&cond);
         match solve(&cond) {
-            diode_solver::SolveResult::Sat(m) => {
+            SolveResult::Sat(m) => {
                 prop_assert!(!brute.is_empty(), "solver SAT but brute force found nothing");
                 // The model must actually satisfy the condition.
                 prop_assert!(cond.eval(&m.lookup_over(&[])));
             }
-            diode_solver::SolveResult::Unsat => {
+            SolveResult::Unsat => {
                 prop_assert!(brute.is_empty(), "solver UNSAT but {} models exist", brute.len());
             }
-            diode_solver::SolveResult::Unknown => prop_assert!(false, "budget exhausted"),
+            SolveResult::Unknown => prop_assert!(false, "budget exhausted"),
+        }
+    }
+
+    #[test]
+    fn every_model_solve_with_returns_satisfies_its_query(
+        c1 in arb_cond(),
+        c2 in arb_cond(),
+        seed: u64,
+        seeded: bool,
+        presolve: bool,
+    ) {
+        let cond = c1.and(&c2);
+        let config = SolverConfig {
+            interval_presolve: presolve,
+            ..SolverConfig::default()
+        };
+        let diversity_seed = seeded.then_some(seed);
+        let (res, stats) = solve_with(&cond, &config, diversity_seed);
+        if let SolveResult::Sat(m) = &res {
+            prop_assert!(m.satisfies(&cond), "model {:?} fails {}", m.bytes(), cond);
+        }
+        prop_assert!(!matches!(res, SolveResult::Unknown), "budget exhausted");
+        if stats.decided_by_probe {
+            prop_assert!(!seeded, "a seeded solve took the probe");
+            prop_assert_eq!(stats.vars, 0);
         }
     }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use diode_lang::{BinOp, Bv, CastKind, CmpOp, UnOp};
 
-use crate::expr::{eval_bin, Sym, SymExpr};
+use crate::expr::{eval_bin, Evaluator, Sym, SymExpr};
 
 /// Atomic "this operation overflows" predicates. The solver encodes these
 /// exactly (widened arithmetic at the bit level); concrete evaluation uses
@@ -108,8 +108,11 @@ impl SymBool {
     ///
     /// Iterative over the connective spine: compressed loop conditions are
     /// conjunctions with thousands of links, so recursion depth must not
-    /// scale with occurrence counts.
+    /// scale with occurrence counts. All atoms share one memo over the
+    /// shared expression nodes, so the cost is linear in the expression
+    /// DAG even when atoms overlap (as the atoms of an `overflow(B)` do).
     pub fn eval(&self, input: &dyn Fn(u32) -> u8) -> bool {
+        let mut exprs = Evaluator::new(input);
         enum Task<'a> {
             Visit(&'a SymBool),
             Not,
@@ -122,7 +125,10 @@ impl SymBool {
             match task {
                 Task::Visit(node) => match node {
                     SymBool::Const(b) => values.push(*b),
-                    SymBool::Cmp(op, a, b) => values.push(op.eval(a.eval(input), b.eval(input))),
+                    SymBool::Cmp(op, a, b) => {
+                        let (av, bv) = (exprs.eval(a).0, exprs.eval(b).0);
+                        values.push(op.eval(av, bv));
+                    }
                     SymBool::Not(inner) => {
                         tasks.push(Task::Not);
                         tasks.push(Task::Visit(inner));
@@ -138,12 +144,13 @@ impl SymBool {
                         tasks.push(Task::Visit(b));
                     }
                     SymBool::Ovf(kind, a, b) => {
-                        let av = a.eval(input);
+                        let av = exprs.eval(a).0;
+                        let mut bv = || exprs.eval(b).0;
                         values.push(match kind {
-                            OvfKind::Add => av.add(b.eval(input)).1,
-                            OvfKind::Sub => av.sub(b.eval(input)).1,
-                            OvfKind::Mul => av.mul(b.eval(input)).1,
-                            OvfKind::Shl => av.shl(b.eval(input)).1,
+                            OvfKind::Add => av.add(bv()).1,
+                            OvfKind::Sub => av.sub(bv()).1,
+                            OvfKind::Mul => av.mul(bv()).1,
+                            OvfKind::Shl => av.shl(bv()).1,
                             OvfKind::Neg => av.neg().1,
                             OvfKind::Trunc(w) => av.trunc(*w).1,
                         });
@@ -576,6 +583,40 @@ mod tests {
         assert!(beta.eval(&make(0xffff_ffff)));
         assert!(!beta.eval(&make(0xffff_fffd)));
         assert!(!beta.eval(&make(0)));
+    }
+
+    #[test]
+    fn eval_is_linear_in_shared_dag_size() {
+        // x = x + x, 64 times, over one 8-bit byte: 65 nodes that unfold
+        // to a tree of 2^64 leaves, and β holds one overflow atom per
+        // doubling, each sharing the whole chain below it. The work runs
+        // on its own thread so an exponential evaluator fails the test
+        // instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut x = SymExpr::input_byte(0);
+            for _ in 0..64 {
+                x = x.bin(BinOp::Add, x.clone());
+            }
+            let e = x.bin(BinOp::Mul, SymExpr::constant(Bv::new(8, 3)));
+            let beta = overflow_condition(&e);
+            let _ = tx.send((
+                beta.eval(&|_| 0),
+                beta.eval(&|_| 1),
+                e.eval_overflow(&|_| 1),
+            ));
+        });
+        let results = rx.recv_timeout(std::time::Duration::from_secs(30));
+        assert!(
+            !matches!(results, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "evaluating a shared DAG must take time linear in its size"
+        );
+        worker.join().expect("the evaluation thread panicked");
+        let (zero, one, (value, ovf)) = results.expect("sent before the thread ended");
+        assert!(!zero, "0 doubles to 0 without overflow");
+        assert!(one, "1 doubled 8 times overflows 8 bits");
+        assert_eq!(value.value(), 0, "2^64 * 3 wraps to 0 at 8 bits");
+        assert!(ovf);
     }
 
     #[test]

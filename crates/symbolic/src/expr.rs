@@ -14,6 +14,7 @@
 //! intermediate wrap-around (nested constant folds) are only applied when
 //! the folded constant itself does not wrap.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -354,33 +355,7 @@ impl SymExpr {
     /// target constraint: `overflow(B)` is satisfied by an input iff this
     /// flag is true (§4.3).
     pub fn eval_overflow(&self, input: &dyn Fn(u32) -> u8) -> (Bv, bool) {
-        match &self.0.sym {
-            Sym::Const(bv) => (*bv, false),
-            Sym::InputByte(off) => (Bv::byte(input(*off)), false),
-            Sym::Un(op, a) => {
-                let (av, ao) = a.eval_overflow(input);
-                let (v, o) = match op {
-                    UnOp::Neg => av.neg(),
-                    UnOp::Not => (av.not(), false),
-                };
-                (v, ao | o)
-            }
-            Sym::Bin(op, a, b) => {
-                let (av, ao) = a.eval_overflow(input);
-                let (bv, bo) = b.eval_overflow(input);
-                let (v, o) = eval_bin(*op, av, bv);
-                (v, ao | bo | o)
-            }
-            Sym::Cast(kind, w, a) => {
-                let (av, ao) = a.eval_overflow(input);
-                let (v, o) = match kind {
-                    CastKind::Zext => (av.zext(*w), false),
-                    CastKind::Sext => (av.sext(*w), false),
-                    CastKind::Trunc => av.trunc(*w),
-                };
-                (v, ao | o)
-            }
-        }
+        Evaluator::new(input).eval(self)
     }
 
     /// Number of distinct nodes in the DAG (shared nodes counted once).
@@ -403,6 +378,76 @@ impl SymExpr {
         }
         walk(self, &mut seen);
         seen.len()
+    }
+}
+
+/// Concrete evaluation of expression DAGs under one input assignment.
+///
+/// Every interior node is evaluated once however many parents share it:
+/// shared nodes are memoized by node identity, and [`crate::SymBool::eval`]
+/// threads one evaluator through all of its atoms, so a condition costs
+/// time linear in its DAG rather than in the tree it unfolds to. Valid
+/// only while the evaluated expressions are alive (node ids are
+/// addresses).
+pub(crate) struct Evaluator<'i> {
+    input: &'i dyn Fn(u32) -> u8,
+    memo: HashMap<usize, (Bv, bool)>,
+}
+
+impl<'i> Evaluator<'i> {
+    pub(crate) fn new(input: &'i dyn Fn(u32) -> u8) -> Self {
+        Evaluator {
+            input,
+            memo: HashMap::new(),
+        }
+    }
+
+    /// The wrapped value of `e` and whether any operation in it overflowed.
+    pub(crate) fn eval(&mut self, e: &SymExpr) -> (Bv, bool) {
+        match &e.0.sym {
+            Sym::Const(bv) => return (*bv, false),
+            Sym::InputByte(off) => return (Bv::byte((self.input)(*off)), false),
+            Sym::Un(..) | Sym::Bin(..) | Sym::Cast(..) => {}
+        }
+        // A node held by one reference has one parent, which reaches it
+        // once: memoizing only shared nodes keeps evaluation linear and
+        // the memo no larger than the sharing it exploits.
+        let shared = Arc::strong_count(&e.0) > 1;
+        if shared {
+            if let Some(&known) = self.memo.get(&e.node_id()) {
+                return known;
+            }
+        }
+        let result = match &e.0.sym {
+            Sym::Un(op, a) => {
+                let (av, ao) = self.eval(a);
+                let (v, o) = match op {
+                    UnOp::Neg => av.neg(),
+                    UnOp::Not => (av.not(), false),
+                };
+                (v, ao | o)
+            }
+            Sym::Bin(op, a, b) => {
+                let (av, ao) = self.eval(a);
+                let (bv, bo) = self.eval(b);
+                let (v, o) = eval_bin(*op, av, bv);
+                (v, ao | bo | o)
+            }
+            Sym::Cast(kind, w, a) => {
+                let (av, ao) = self.eval(a);
+                let (v, o) = match kind {
+                    CastKind::Zext => (av.zext(*w), false),
+                    CastKind::Sext => (av.sext(*w), false),
+                    CastKind::Trunc => av.trunc(*w),
+                };
+                (v, ao | o)
+            }
+            Sym::Const(_) | Sym::InputByte(_) => unreachable!("leaves return above"),
+        };
+        if shared {
+            self.memo.insert(e.node_id(), result);
+        }
+        result
     }
 }
 
